@@ -29,6 +29,7 @@ from .errors import (
     GraphError,
     IndexOutOfRange,
     InvalidAssignment,
+    MalformedInput,
     MissingCycleEdge,
     NotACandidate,
     NotInvisible,

@@ -10,14 +10,15 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import NotACandidate, NotInvisible
 from .graph_core import (
     Pair,
     VisGraph,
+    derived_table,
     interval_vertices,
     invisible_pairs,
+    json_field,
     strictly_inside,
 )
 
@@ -56,6 +57,16 @@ def _arc_pair_visible(g: VisGraph, side_a: list[int], side_b: list[int]) -> bool
     return any(g.visible(s, t) for s in side_a for t in side_b)
 
 
+def first_seen(g: VisGraph, viewer: int, target: int, step: int) -> int:
+    """First vertex the viewer sees walking from the target, one step of
+    -1 (clockwise) or +1 (counterclockwise) at a time.  The viewer sees
+    both its neighbours, so the walk always ends."""
+    k = (target + step) % g.n
+    while not g.visible(viewer, k):
+        k = (k + step) % g.n
+    return k
+
+
 def candidate_blockers(g: VisGraph, pair: Pair) -> CandidateSet:
     """Compute the candidate set of an ordered invisible pair.
 
@@ -69,9 +80,7 @@ def candidate_blockers(g: VisGraph, pair: Pair) -> CandidateSet:
     if i == j or g.visible(i, j):
         raise NotInvisible(f"({i},{j}) is not an invisible pair")
 
-    k = (j - 1) % n
-    while not g.visible(i, k):
-        k = (k - 1) % n
+    k = first_seen(g, i, j, -1)
     cw: int | None = k
     if _arc_pair_visible(
         g,
@@ -80,9 +89,7 @@ def candidate_blockers(g: VisGraph, pair: Pair) -> CandidateSet:
     ):
         cw = None
 
-    k2 = (j + 1) % n
-    while not g.visible(i, k2):
-        k2 = (k2 + 1) % n
+    k2 = first_seen(g, i, j, 1)
     ccw: int | None = k2
     if _arc_pair_visible(
         g,
@@ -94,9 +101,9 @@ def candidate_blockers(g: VisGraph, pair: Pair) -> CandidateSet:
     return CandidateSet(cw, ccw)
 
 
-@lru_cache(maxsize=None)
-def _all_candidates_cached(g: VisGraph) -> tuple[tuple[Pair, CandidateSet], ...]:
-    return tuple((p, candidate_blockers(g, p)) for p in invisible_pairs(g))
+@derived_table
+def _candidate_table(g: VisGraph) -> dict[Pair, CandidateSet]:
+    return {p: candidate_blockers(g, p) for p in invisible_pairs(g)}
 
 
 def all_candidates(g: VisGraph) -> dict[Pair, CandidateSet]:
@@ -106,7 +113,7 @@ def all_candidates(g: VisGraph) -> dict[Pair, CandidateSet]:
     recognition fail immediately downstream, since assignments may only
     draw from candidate sets.
     """
-    return dict(_all_candidates_cached(g))
+    return dict(_candidate_table(g))
 
 
 def blocker_side(n: int, pair: Pair, k: int) -> str:
@@ -147,17 +154,18 @@ def blocking_far_arc(n: int, pair: Pair, k: int) -> set[int]:
     return set(interval_vertices(n, j, k))
 
 
+def assignment_to_dict(a: Assignment) -> dict:
+    rows = [{"from": i, "to": j, "blocker": b} for (i, j), b in sorted(a.items())]
+    return {"blockers": rows}
+
+
 def assignment_to_json(a: Assignment) -> str:
-    rows = [
-        {"from": i, "to": j, "blocker": b}
-        for (i, j), b in sorted(a.items())
-    ]
-    return json.dumps({"blockers": rows}, sort_keys=True, indent=2) + "\n"
+    return json.dumps(assignment_to_dict(a), sort_keys=True, indent=2) + "\n"
 
 
 def assignment_from_json(text: str) -> Assignment:
-    obj = json.loads(text)
     out: Assignment = {}
-    for row in obj["blockers"]:
-        out[(int(row["from"]), int(row["to"]))] = int(row["blocker"])
+    for row in json_field(json.loads(text), "blockers", list):
+        i, j, k = (json_field(row, key, int) for key in ("from", "to", "blocker"))
+        out[(i, j)] = k
     return out

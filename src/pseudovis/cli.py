@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import geometry, recognizer
 from .blockers import all_candidates, assignment_from_json, assignment_to_json
-from .conditions import check_conditions, violations_to_json
+from .conditions import check_conditions, violation_to_dict
 from .errors import (
     GenerationBudgetExceeded,
     PseudovisError,
@@ -66,9 +66,8 @@ def cmd_check(args) -> int:
     g = graph_from_json(_read(args.graph))
     a = assignment_from_json(_read(args.assignment))
     report = recognizer.verify(g, a)
-    obj = json.loads(violations_to_json(list(report.violations)))
-    obj["ok"] = report.ok
-    obj["problems"] = list(report.problems)
+    violations = [violation_to_dict(v) for v in report.violations]
+    obj = {"ok": report.ok, "problems": list(report.problems), "violations": violations}
     sys.stdout.write(_dump(obj))
     return EXIT_PASS if report.ok else EXIT_FAIL
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator
 
 from .blockers import (
@@ -33,6 +32,7 @@ from .graph_core import (
     Pair,
     VisGraph,
     ccw_dist,
+    derived_table,
     in_interval,
     interval_vertices,
     invisible_pairs,
@@ -136,37 +136,33 @@ def entry_requirements(
             if t is not None:
                 yield _Requirement((s, j), t, "NC2", pair, k, via=((s, k),))
 
-    # NC3: constraints on the reverse direction, viewed from the target.
+    # NC3: constraints on the reverse direction, viewed from the target:
+    # the value forced is k if j sees k (case 1), else the blocker of (j, k).
     if g.visible(j, k):
+        cond, value, via = "NC3case1", k, ()
         for s in near:
-            yield _Requirement((j, s), k, "NC3case1", pair, k)
-        for (kk, t), b in sorted(a.items()):
-            if kk == k and b == i and t != j:
-                if g.visible(j, t):
-                    yield _must_be_invisible("NC3case1", pair, k, (k, t), (j, t))
-                else:
-                    yield _Requirement((j, t), k, "NC3case1", pair, k, via=((k, t),))
+            yield _Requirement((j, s), k, cond, pair, k)
     else:
-        q = a.get((j, k))
-        if q is not None:
-            if g.visible(i, q):
-                yield _must_be_invisible("NC3case2", pair, k, (j, k), (i, q))
+        value = a.get((j, k))
+        if value is None:
+            return
+        cond, via = "NC3case2", ((j, k),)
+        if g.visible(i, value):
+            yield _must_be_invisible(cond, pair, k, (j, k), (i, value))
+        else:
+            yield _Requirement((i, value), k, cond, pair, k, via=via)
+        for s in near + [k]:
+            yield _Requirement((j, s), value, cond, pair, k, via=via)
+    for (kk, t), b in sorted(a.items()):
+        if kk == k and b == i and t != j:
+            if g.visible(j, t):
+                yield _must_be_invisible(cond, pair, k, (k, t), (j, t))
             else:
-                yield _Requirement((i, q), k, "NC3case2", pair, k, via=((j, k),))
-            for s in near + [k]:
-                yield _Requirement((j, s), q, "NC3case2", pair, k, via=((j, k),))
-            for (kk, t), b in sorted(a.items()):
-                if kk == k and b == i and t != j:
-                    if g.visible(j, t):
-                        yield _must_be_invisible("NC3case2", pair, k, (k, t), (j, t))
-                    else:
-                        yield _Requirement(
-                            (j, t), q, "NC3case2", pair, k, via=((j, k), (k, t))
-                        )
+                yield _Requirement((j, t), value, cond, pair, k, via=via + ((k, t),))
 
 
-@lru_cache(maxsize=None)
-def _separable_pairs_cached(g: VisGraph) -> tuple[SeparablePair, ...]:
+@derived_table
+def _separable_table(g: VisGraph) -> tuple[SeparablePair, ...]:
     cand = all_candidates(g)
     recs = []
     items = sorted(cand.items())
@@ -182,12 +178,10 @@ def _separable_pairs_cached(g: VisGraph) -> tuple[SeparablePair, ...]:
     return tuple(sorted(recs, key=lambda r: (r.blocker, r.pair_a, r.pair_b)))
 
 
-def separable_pairs(
-    g: VisGraph, candidates: dict[Pair, CandidateSet] | None = None
-) -> list[SeparablePair]:
+def separable_pairs(g: VisGraph) -> list[SeparablePair]:
     """All separable invisible pairs: a shared candidate blocker with one
     pair lying entirely on the arc beyond it."""
-    return list(_separable_pairs_cached(g))
+    return list(_separable_table(g))
 
 
 def _ccw_ordered(n: int, a: int, b: int, c: int, d: int) -> bool:
@@ -304,7 +298,7 @@ def _violations_iter(
                 f"NC1b: p{k} blocks ({i},{j}) while p{i} blocks ({k},{j})",
             )
 
-    for rec in _separable_pairs_cached(g):
+    for rec in _separable_table(g):
         if a.get(rec.pair_a) == rec.blocker and a.get(rec.pair_b) == rec.blocker:
             lo, hi = sorted((rec.pair_a, rec.pair_b))
             yield Violation(
@@ -363,14 +357,15 @@ def first_violation(
     return next(_violations_iter(g, a, cand), None)
 
 
+def violation_to_dict(v: Violation) -> dict:
+    return {
+        "condition": v.condition,
+        "pairs": [list(p) for p in v.pairs],
+        "vertices": list(v.vertices),
+        "narrative": v.narrative,
+    }
+
+
 def violations_to_json(violations: list[Violation]) -> str:
-    rows = [
-        {
-            "condition": v.condition,
-            "pairs": [list(p) for p in v.pairs],
-            "vertices": list(v.vertices),
-            "narrative": v.narrative,
-        }
-        for v in violations
-    ]
+    rows = [violation_to_dict(v) for v in violations]
     return json.dumps({"violations": rows}, sort_keys=True, indent=2) + "\n"

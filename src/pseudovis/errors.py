@@ -21,6 +21,10 @@ class IndexOutOfRange(GraphError):
     """A vertex index falls outside [0, n)."""
 
 
+class MalformedInput(PseudovisError):
+    """A JSON input has the wrong shape or a value of the wrong type."""
+
+
 class NotInvisible(PseudovisError):
     """Operation requires an invisible pair but got a visible or degenerate one."""
 

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 
-from .blockers import all_candidates, blocker_side
+from .blockers import blocker_side, candidate_blockers, first_seen
 from .errors import (
     DegenerateInput,
     GenerationBudgetExceeded,
@@ -25,8 +24,11 @@ from .errors import (
 from .graph_core import (
     Pair,
     VisGraph,
+    derived_table,
     interval_edges,
     invisible_pairs,
+    json_field,
+    json_ints,
 )
 from .vertex_edge import VEGraph, seen_edge_gaps
 
@@ -36,9 +38,10 @@ Point = tuple[int, int]
 @dataclass(frozen=True)
 class Polygon:
     """Simple counterclockwise polygon on integer coordinates, no three
-    vertices collinear."""
+    vertices collinear.  ``tables`` holds the tables derived from it."""
 
     vertices: tuple[Point, ...]
+    tables: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -91,11 +94,9 @@ def validate_polygon(vertices) -> Polygon:
         raise DegenerateInput(f"need at least 3 vertices, got {n}")
     if len(set(pts)) != n:
         raise DegenerateInput("duplicate vertices")
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                if orient(pts[i], pts[j], pts[k]) == 0:
-                    raise DegenerateInput(f"vertices {i},{j},{k} are collinear")
+    triple = _collinear_triple(pts)
+    if triple is not None:
+        raise DegenerateInput("vertices {},{},{} are collinear".format(*triple))
     if signed_area2(tuple(pts)) <= 0:
         raise DegenerateInput("vertices are not in counterclockwise order")
     for i in range(n):
@@ -162,7 +163,7 @@ def sees_vertex(p: Polygon, i: int, j: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
+@derived_table
 def visibility_graph(p: Polygon) -> VisGraph:
     """Ground-truth visibility graph of the polygon."""
     n = p.n
@@ -174,7 +175,7 @@ def visibility_graph(p: Polygon) -> VisGraph:
     return VisGraph(n, frozenset(edges))
 
 
-@lru_cache(maxsize=None)
+@derived_table
 def _exit_table(p: Polygon) -> dict[tuple[int, int], EdgeHit | None]:
     """First boundary crossing of the ray from k away from a, for every
     ordered vertex pair (k, a); None when the direction leaves
@@ -227,7 +228,7 @@ def ray_first_exit(p: Polygon, k: int, away_from: int) -> EdgeHit | None:
     immediately, otherwise the first properly crossed open edge with its
     exact rational hit point.  Requires that away_from sees k.
     """
-    if not sees_vertex(p, away_from, k):
+    if not visibility_graph(p).visible(away_from, k):
         raise ValueError(f"vertex {away_from} does not see vertex {k}")
     return _exit_table(p)[(k, away_from)]
 
@@ -238,7 +239,7 @@ def _is_witness(p: Polygon, i: int, w: int, m: int) -> bool:
     ends = (m, (m + 1) % n)
     if i in ends:
         return w in ends
-    if w == i or not sees_vertex(p, i, w):
+    if not visibility_graph(p).visible(i, w):
         return False
     if w in ends:
         return True
@@ -258,7 +259,7 @@ def sees_edge(p: Polygon, i: int, m: int) -> tuple[bool, list[int]]:
     return len(witnesses) >= 2, witnesses
 
 
-@lru_cache(maxsize=None)
+@derived_table
 def ve_graph_geo(p: Polygon) -> VEGraph:
     """Ground-truth vertex-edge visibility relation."""
     n = p.n
@@ -268,9 +269,7 @@ def ve_graph_geo(p: Polygon) -> VEGraph:
     return VEGraph(n, tuple(rows))
 
 
-def designated_blocker_geo(
-    p: Polygon, pair: Pair, graph: VisGraph | None = None
-) -> int:
+def designated_blocker_geo(p: Polygon, pair: Pair) -> int:
     """The unique vertex geometrically responsible for an invisible pair.
 
     Walks from the target to the first vertex the viewer sees on each
@@ -278,24 +277,20 @@ def designated_blocker_geo(
     vertices, and the side of the target that edge falls on selects the
     blocker.  Any other outcome raises OracleContradiction.
     """
-    g = graph if graph is not None else visibility_graph(p)
+    g = visibility_graph(p)
     n = g.n
     i, j = pair
     if i == j or g.visible(i, j):
         raise NotInvisible(f"({i},{j}) is not an invisible pair")
-    k = (j - 1) % n
-    while not g.visible(i, k):
-        k = (k - 1) % n
-    k2 = (j + 1) % n
-    while not g.visible(i, k2):
-        k2 = (k2 + 1) % n
-    seen = [m for m in interval_edges(n, k, k2) if sees_edge(p, i, m)[0]]
+    k, k2 = first_seen(g, i, j, -1), first_seen(g, i, j, 1)
+    ve = ve_graph_geo(p)
+    seen = [m for m in interval_edges(n, k, k2) if ve.sees(i, m)]
     if len(seen) != 1:
         raise OracleContradiction(
             f"viewer {i} sees {len(seen)} edges between p{k} and p{k2}, expected 1"
         )
     blocker = k if seen[0] in interval_edges(n, j, k2) else k2
-    if not all_candidates(g)[pair].contains(blocker):
+    if not candidate_blockers(g, pair).contains(blocker):
         raise OracleContradiction(
             f"geometric blocker p{blocker} of ({i},{j}) is not a candidate"
         )
@@ -305,7 +300,7 @@ def designated_blocker_geo(
 def geometric_blockers(p: Polygon) -> dict[Pair, int]:
     """Designated blocker of every ordered invisible pair."""
     g = visibility_graph(p)
-    return {pair: designated_blocker_geo(p, pair, g) for pair in invisible_pairs(g)}
+    return {pair: designated_blocker_geo(p, pair) for pair in invisible_pairs(g)}
 
 
 def _blocking_exit_edges(n: int, pair: Pair, v: int) -> set[int]:
@@ -330,14 +325,13 @@ def check_blocker_uniqueness(p: Polygon) -> list[str]:
     conventions must agree).
     """
     g = visibility_graph(p)
-    cand = all_candidates(g)
     table = _exit_table(p)
     n = p.n
     failures = []
     for pair in invisible_pairs(g):
         i, j = pair
         try:
-            algo = designated_blocker_geo(p, pair, g)
+            algo = designated_blocker_geo(p, pair)
         except OracleContradiction as exc:
             failures.append(f"pair ({i},{j}): {exc}")
             continue
@@ -353,17 +347,12 @@ def check_blocker_uniqueness(p: Polygon) -> list[str]:
                 f"pair ({i},{j}): ray scan found {by_ray}, extraction found {algo}"
             )
             continue
-        if not cand[pair].contains(algo):
-            failures.append(f"pair ({i},{j}): blocker p{algo} is not a candidate")
         if blocker_side(n, pair, algo) == "ccw":
             # Second convention for far-side blockers: the ray must exit
             # between the first vertex the viewer sees walking clockwise
             # from the target and the blocker itself.
-            first_cw = (j - 1) % n
-            while not g.visible(i, first_cw):
-                first_cw = (first_cw - 1) % n
             hit = table[(algo, i)]
-            narrow = set(interval_edges(n, first_cw, algo))
+            narrow = set(interval_edges(n, first_seen(g, i, j, -1), algo))
             if hit is None or hit.edge not in narrow:
                 failures.append(
                     f"pair ({i},{j}): exit conventions disagree at p{algo}"
@@ -437,14 +426,15 @@ def check_gap_witness_cases(p: Polygon) -> list[str]:
     return failures
 
 
-def _three_collinear(pts: list[Point]) -> bool:
+def _collinear_triple(pts: list[Point]) -> tuple[int, int, int] | None:
+    """First index triple i < j < k of collinear points, if any."""
     n = len(pts)
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
                 if orient(pts[i], pts[j], pts[k]) == 0:
-                    return True
-    return False
+                    return i, j, k
+    return None
 
 
 def _uncross_tour(pts: list[Point], swap_cap: int) -> bool:
@@ -492,7 +482,7 @@ def random_simple_polygon(n: int, seed: int, max_attempts: int = 64) -> Polygon:
     for _ in range(max_attempts):
         cells = rng.sample(range(width * width), n)
         pts = [(c % width, c // width) for c in cells]
-        if _three_collinear(pts):
+        if _collinear_triple(pts) is not None:
             continue
         rng.shuffle(pts)
         if not _uncross_tour(pts, swap_cap=50 * n * n):
@@ -511,5 +501,5 @@ def polygon_to_json(p: Polygon) -> str:
 
 
 def polygon_from_json(text: str) -> Polygon:
-    obj = json.loads(text)
-    return validate_polygon([tuple(v) for v in obj["vertices"]])
+    vertices = json_field(json.loads(text), "vertices", list)
+    return validate_polygon([json_ints(v, 2, "vertex") for v in vertices])

@@ -9,12 +9,28 @@ vertices m and m+1.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Iterable
+from dataclasses import dataclass, field
+from functools import wraps
+from typing import Callable, Iterable
 
-from .errors import IndexOutOfRange, MissingCycleEdge, SelfLoop
+from .errors import IndexOutOfRange, MalformedInput, MissingCycleEdge, SelfLoop
 
 Pair = tuple[int, int]
+
+
+def derived_table(build: Callable) -> Callable:
+    """Memoize a one-argument table builder in its argument's ``tables``
+    field, so each table lives exactly as long as the graph or polygon it
+    is derived from.  The key is the decorated function (pickle finds it)."""
+
+    @wraps(build)
+    def table(source):
+        result = source.tables.get(table)
+        if result is None:
+            result = source.tables[table] = build(source)
+        return result
+
+    return table
 
 
 def ccw_dist(n: int, a: int, b: int) -> int:
@@ -53,11 +69,13 @@ class VisGraph:
     """Graph on cycle-labeled vertices with a symmetric visibility relation.
 
     ``edges`` holds normalized (i < j) visible pairs and always contains
-    every cycle edge.  Instances are immutable and hashable.
+    every cycle edge.  Instances are immutable and hashable; ``tables``
+    holds the tables derived from the graph (see ``derived_table``).
     """
 
     n: int
     edges: frozenset[Pair]
+    tables: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def visible(self, i: int, j: int) -> bool:
         if i == j:
@@ -111,6 +129,25 @@ def graph_to_json(g: VisGraph) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+def json_field(obj, key: str, kind: type):
+    """obj[key] of a parsed JSON object, which must be of exactly the
+    given type (so an int field rejects true and 1.5)."""
+    if type(obj) is not dict:
+        raise MalformedInput(f"expected a JSON object, got {obj!r:.60}")
+    value = obj[key]
+    if type(value) is not kind:
+        raise MalformedInput(f"{key!r} must be {kind.__name__}, got {value!r:.60}")
+    return value
+
+
+def json_ints(row, count: int, what: str) -> tuple[int, ...]:
+    """A parsed JSON list of exactly count integers, as a tuple."""
+    if type(row) is not list or len(row) != count or any(type(x) is not int for x in row):
+        raise MalformedInput(f"{what} must be {count} integers, got {row!r:.60}")
+    return tuple(row)
+
+
 def graph_from_json(text: str) -> VisGraph:
     obj = json.loads(text)
-    return validate_graph(int(obj["n"]), obj["edges"])
+    edges = [json_ints(e, 2, "edge") for e in json_field(obj, "edges", list)]
+    return validate_graph(json_field(obj, "n", int), edges)

@@ -13,13 +13,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .blockers import Assignment, CandidateSet, all_candidates, assignment_to_json
+from .blockers import Assignment, CandidateSet, all_candidates, assignment_to_dict
 from .conditions import (
     Violation,
     _mismatch,
     check_conditions,
     entry_requirements,
     first_violation,
+    violation_to_dict,
 )
 from .errors import SearchBudgetExceeded
 from .graph_core import Pair, VisGraph, invisible_pairs
@@ -162,19 +163,10 @@ def verify(g: VisGraph, a: Assignment) -> VerifyReport:
     return VerifyReport(not violations, (), tuple(violations))
 
 
-def _violation_obj(v: Violation) -> dict:
-    return {
-        "condition": v.condition,
-        "pairs": [list(p) for p in v.pairs],
-        "vertices": list(v.vertices),
-        "narrative": v.narrative,
-    }
-
-
 def verdict_to_json(v: Verdict, extra: dict | None = None) -> str:
     obj: dict = {"verdict": "accepted" if v.accepted else "rejected"}
     if v.accepted:
-        obj["assignment"] = json.loads(assignment_to_json(v.assignment or {}))
+        obj["assignment"] = assignment_to_dict(v.assignment or {})
     elif isinstance(v.certificate, EmptyCandidateSet):
         obj["certificate"] = {
             "kind": "empty_candidate_set",
@@ -185,7 +177,7 @@ def verdict_to_json(v: Verdict, extra: dict | None = None) -> str:
         obj["certificate"] = {
             "kind": "exhausted_search",
             "conflicts": [
-                {"depth": d, "violation": _violation_obj(viol)}
+                {"depth": d, "violation": violation_to_dict(viol)}
                 for d, viol in v.certificate.conflicts
             ],
         }

@@ -1,9 +1,17 @@
+import gc
 import json
+import weakref
 
 import pytest
 
-from pseudovis import graph_to_json, polygon_to_json, validate_polygon
-from pseudovis.cli import main
+from pseudovis import (
+    graph_to_json,
+    polygon_to_json,
+    random_simple_polygon,
+    validate_polygon,
+    visibility_graph,
+)
+from pseudovis.cli import check_polygon, main
 from conftest import DENT5_VERTICES
 from support import complete_graph, cycle_graph
 
@@ -91,6 +99,53 @@ def test_oracle_rejects_collinear(tmp_path, capsys):
     )
     code, _ = run(capsys, ["oracle", "visgraph", path])
     assert code == 2
+
+
+TRIANGLE = '{"n": 3, "edges": [[0, 1], [1, 2], [2, 0]]}'
+QUAD_EDGES = "[0, 1], [1, 2], [2, 3], [3, 0]"
+
+
+@pytest.mark.parametrize(
+    "command, texts",
+    [
+        (["recognize"], ["[[0, 1], [1, 2], [2, 0]]"]),
+        (["oracle", "visgraph"], ["[[0, 0], [4, 0], [0, 4]]"]),
+        (["check"], ["[]", '{"blockers": []}']),
+        (["check"], [TRIANGLE, "[]"]),
+        (["check"], [TRIANGLE, '{"blockers": [[0, 2, 1]]}']),
+        (["check"], [TRIANGLE, '{"blockers": [{"from": "0", "to": 2, "blocker": 1}]}']),
+        (["recognize"], ['{"n": 3, "edges": [["0", 1], [1, 2], [2, 0]]}']),
+        (["recognize"], ['{"n": 4, "edges": [[0, 1.5], ' + QUAD_EDGES + "]}"]),
+        (["recognize"], ['{"n": 4, "edges": [[true, 3], ' + QUAD_EDGES + "]}"]),
+        (["recognize"], ['{"n": 3.0, "edges": [[0, 1], [1, 2], [2, 0]]}']),
+        (["recognize"], ['{"n": 3, "edges": {"0": 1}}']),
+        (["recognize"], ['{"n": 3, "edges": [[0, 1, 2], [1, 2], [2, 0]]}']),
+        (["oracle", "visgraph"], ['{"vertices": [[true, 3], [0, 0], [5, 0], [4, 4]]}']),
+        (["oracle", "visgraph"], ['{"vertices": [[0, 0], [5, 0], 4]}']),
+    ],
+    ids=[
+        "recognize-list", "oracle-list", "check-graph-list", "check-assignment-list",
+        "assignment-row-list", "assignment-string-field", "edge-string", "edge-float",
+        "edge-bool", "n-float", "edges-object", "edge-triple", "coordinate-bool",
+        "vertex-int",
+    ],
+)
+def test_malformed_json_is_input_error(tmp_path, capsys, command, texts):
+    paths = [write(tmp_path, f"in{k}.json", text) for k, text in enumerate(texts)]
+    code = main(command + paths)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_check_polygon_keeps_no_reference():
+    p = random_simple_polygon(8, 5)
+    assert all(check_polygon(p).values())
+    polygon, graph = weakref.ref(p), weakref.ref(visibility_graph(p))
+    del p
+    gc.collect()
+    assert polygon() is None and graph() is None
 
 
 def test_gen_deterministic(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import json
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,6 +8,8 @@ from pseudovis import (
     IndexOutOfRange,
     MissingCycleEdge,
     SelfLoop,
+    all_candidates,
+    geometric_blockers,
     graph_from_json,
     graph_to_json,
     interval_edges,
@@ -118,3 +121,12 @@ def test_json_round_trip(dent5_graph):
     obj = json.loads(text)
     assert obj["edges"] == sorted(obj["edges"])
     assert all(i < j for i, j in obj["edges"])
+
+
+def test_inputs_pickle_with_derived_tables(dent5_poly):
+    g = visibility_graph(dent5_poly)
+    all_candidates(g)
+    blockers = geometric_blockers(dent5_poly)
+    assert dent5_poly.tables and g.tables
+    restored = pickle.loads(pickle.dumps(dent5_poly))
+    assert restored == dent5_poly and geometric_blockers(restored) == blockers
