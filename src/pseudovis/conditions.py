@@ -153,8 +153,8 @@ def entry_requirements(
             yield _Requirement((i, value), k, cond, pair, k, via=via)
         for s in near + [k]:
             yield _Requirement((j, s), value, cond, pair, k, via=via)
-    for (kk, t), b in sorted(a.items()):
-        if kk == k and b == i and t != j:
+    for t in range(n):
+        if t != j and a.get((k, t)) == i:
             if g.visible(j, t):
                 yield _must_be_invisible(cond, pair, k, (k, t), (j, t))
             else:
@@ -271,7 +271,6 @@ def _pinch_certified(g: VisGraph, a: Assignment, q: PinchedQuadruple, m2: int) -
 def _violations_iter(
     g: VisGraph, a: Assignment, cand: dict[Pair, CandidateSet]
 ) -> Iterator[Violation]:
-    n = g.n
     inv = set(invisible_pairs(g))
     for pair, k in a.items():
         if pair not in inv:
@@ -287,13 +286,19 @@ def _violations_iter(
             actual = a.get(req.pair)
             if actual is not None and actual != req.value:
                 yield _mismatch(req, actual)
+    yield from residual_violations(g, a)
 
+
+def residual_violations(g: VisGraph, a: Assignment) -> Iterator[Violation]:
+    """The NC1b, NC4 and NC5 violations: the checks that are not a
+    requirement of a single entry, so forcing never reports them."""
+    n = g.n
+    for (i, j), k in sorted(a.items()):
         # NC1 part (2): the roles of viewer and blocker cannot swap.
-        i, j = pair
         if not g.visible(k, j) and a.get((k, j)) == i:
             yield Violation(
                 "NC1b",
-                (pair, (k, j)),
+                ((i, j), (k, j)),
                 (k, i),
                 f"NC1b: p{k} blocks ({i},{j}) while p{i} blocks ({k},{j})",
             )

@@ -3,14 +3,16 @@
 Variables are the ordered invisible pairs, domains their candidate sets
 (at most two values).  The search is chronological backtracking with
 forward propagation: conditions NC1-NC3 have implicational form, so each
-tentative entry forces further entries until a fixpoint; NC4/NC5 (and
-NC1 part 2) are checked as constraints on every extension.  Rejection
-comes with a re-checkable certificate.
+tentative entry forces further entries until a fixpoint.  Only dirty
+entries, whose premises changed, are revisited: a clean entry's
+requirements are all assigned and met.  NC4/NC5 (and NC1 part 2) are
+checked on every closure.  Rejection comes with a re-checkable certificate.
 """
 
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .blockers import Assignment, CandidateSet, all_candidates, assignment_to_dict
@@ -19,7 +21,7 @@ from .conditions import (
     _mismatch,
     check_conditions,
     entry_requirements,
-    first_violation,
+    residual_violations,
     violation_to_dict,
 )
 from .errors import SearchBudgetExceeded
@@ -56,18 +58,39 @@ def _propagate(
     g: VisGraph,
     cand: dict[Pair, CandidateSet],
     a: Assignment,
+    new: tuple[Pair, ...],
 ) -> Violation | None:
     """Close the assignment under NC1-NC3 forcing; mutate a in place.
+
+    a is closed apart from the entries in new.  Each pass walks the sorted
+    entries but visits only the dirty ones: a clean entry's requirements
+    are all assigned and met, so visiting it would change nothing.
 
     Returns the first violation hit (forced value outside the candidate
     set, contradiction with an existing entry, or any residual NC1b /
     NC4 / NC5 breach on the closure), or None if consistent.
     """
-    changed = True
-    while changed:
-        changed = False
-        for pair, k in sorted(a.items()):
-            for req in entry_requirements(g, a, pair, k):
+    by_blocker: dict[int, set[Pair]] = defaultdict(set)
+    for pair, k in a.items():
+        by_blocker[k].add(pair)
+    dirty: set[Pair] = set()
+
+    def added(pair: Pair) -> None:
+        # Dirty (x, y) -> b and its readers: NC2 and NC3 case 2 of the
+        # entries blocked by y, the NC3 reverse scan of (b, .) -> x.
+        (x, y), b = pair, a[pair]
+        dirty.add(pair)
+        dirty.update(by_blocker[y], (p for p in by_blocker[x] if p[0] == b))
+        by_blocker[b].add(pair)
+
+    for pair in new:
+        added(pair)
+    while dirty:
+        for pair in sorted(a):
+            if pair not in dirty:
+                continue
+            dirty.discard(pair)
+            for req in entry_requirements(g, a, pair, a[pair]):
                 if isinstance(req, Violation):
                     return req
                 cur = a.get(req.pair)
@@ -83,10 +106,10 @@ def _propagate(
                             f"which is not a candidate there",
                         )
                     a[req.pair] = req.value
-                    changed = True
+                    added(req.pair)
                 elif cur != req.value:
                     return _mismatch(req, cur)
-    return first_violation(g, a, cand)
+    return next(residual_violations(g, a), None)
 
 
 def find_assignment(
@@ -109,30 +132,27 @@ def find_assignment(
     conflicts: list[tuple[int, Violation]] = []
     nodes = 0
 
-    def solve(a: Assignment) -> Assignment | None:
+    def solve(a: Assignment, new: tuple[Pair, ...]) -> Assignment | None:
         nonlocal nodes
-        closed = dict(a)
-        bad = _propagate(g, cand, closed)
+        bad = _propagate(g, cand, a, new)
         if bad is not None:
-            conflicts.append((len(closed), bad))
+            conflicts.append((len(a), bad))
             return None
-        var = next((p for p in order if p not in closed), None)
+        var = next((p for p in order if p not in a), None)
         if var is None:
-            return closed
+            return a
         for value in cand[var].members():
             nodes += 1
             if nodes > node_budget:
                 raise SearchBudgetExceeded(
                     f"no verdict within {node_budget} search nodes"
                 )
-            trial = dict(closed)
-            trial[var] = value
-            result = solve(trial)
+            result = solve({**a, var: value}, (var,))
             if result is not None:
                 return result
         return None
 
-    found = solve({})
+    found = solve({}, ())
     if found is None:
         return Verdict(False, certificate=ExhaustedSearch(tuple(conflicts)))
     report = verify(g, found)

@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass
 
 from .blockers import Assignment, CandidateSet, all_candidates
-from .errors import InvalidAssignment, VertexOutsideInterval
+from .errors import InvalidAssignment, MalformedInput, VertexOutsideInterval
 from .graph_core import (
     BoundaryInterval,
     Pair,
@@ -24,6 +24,8 @@ from .graph_core import (
     in_interval,
     interval_edges,
     interval_vertices,
+    json_field,
+    json_ints,
     strictly_inside,
 )
 
@@ -208,8 +210,13 @@ def ve_to_json(ve: VEGraph) -> str:
 
 def ve_from_json(text: str) -> VEGraph:
     obj = json.loads(text)
-    n = int(obj["n"])
+    n = json_field(obj, "n", int)
+    if n < 3:
+        raise MalformedInput(f"vertex count must be at least 3, got {n}")
     rows = [set() for _ in range(n)]
-    for i, m in obj["sees"]:
-        rows[int(i)].add(int(m))
+    for entry in json_field(obj, "sees", list):
+        i, m = json_ints(entry, 2, "sees entry")
+        if not (0 <= i < n and 0 <= m < n):
+            raise MalformedInput(f"sees entry ({i},{m}) outside [0,{n})")
+        rows[i].add(m)
     return VEGraph(n, tuple(frozenset(r) for r in rows))

@@ -1,3 +1,7 @@
+import hashlib
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,11 +12,17 @@ from pseudovis import (
     check_conditions,
     find_assignment,
     geometric_blockers,
+    random_simple_polygon,
+    validate_graph,
     verdict_to_json,
     verify,
     visibility_graph,
 )
 from support import brute_force_accepts, complete_graph, cycle_graph
+
+
+def cycle_chords(n: int) -> list[tuple[int, int]]:
+    return [(i, j) for i in range(n) for j in range(i + 2, n) if not (i == 0 and j == n - 1)]
 
 
 def test_complete_graphs_accept_empty():
@@ -101,13 +111,7 @@ def test_accepted_implies_verify(sample_polygons):
 @st.composite
 def graphs(draw):
     n = draw(st.integers(4, 7))
-    chords = [
-        (i, j)
-        for i in range(n)
-        for j in range(i + 2, n)
-        if not (i == 0 and j == n - 1)
-    ]
-    picked = draw(st.frozensets(st.sampled_from(chords)))
+    picked = draw(st.frozensets(st.sampled_from(cycle_chords(n))))
     return cycle_graph(n, picked)
 
 
@@ -121,23 +125,13 @@ def test_mutated_polygon_graphs():
     # flipping one non-cycle pair of a realizable graph produces a mix of
     # accepted and rejected instances; the search must match brute force
     # on every one of them
-    import random
-
-    from pseudovis import random_simple_polygon, validate_graph
-
     rng = random.Random(9)
     verdicts = {True: 0, False: 0}
     for idx in range(48):
         n = 5 + idx % 3
         g = visibility_graph(random_simple_polygon(n, 40000 + idx))
-        chords = [
-            (i, j)
-            for i in range(n)
-            for j in range(i + 2, n)
-            if not (i == 0 and j == n - 1)
-        ]
         edges = set(g.edges)
-        edges.symmetric_difference_update({rng.choice(chords)})
+        edges.symmetric_difference_update({rng.choice(cycle_chords(n))})
         mutated = validate_graph(n, [list(e) for e in edges])
         v = find_assignment(mutated)
         assert v.accepted == brute_force_accepts(mutated)
@@ -156,3 +150,60 @@ def test_triangle_pipeline():
     ve = build_ve(g, {})
     assert all(ve.sees(i, m) for i in range(3) for m in range(3))
     assert check_ve_characterization(ve, g) == []
+
+
+# sha256 of the concatenated verdict_to_json output of golden_graphs(),
+# recorded before propagation became incremental.
+GOLDEN_DIGEST = "1529f4ad05af42f0a2a7e2a776a84207a976ede7de4d3f37b830a38a1a6b9e0f"
+
+
+def golden_graphs() -> list:
+    rng = random.Random(20261018)
+    graphs = []
+    for idx in range(240):
+        n = 5 + idx % 4
+        graphs.append(cycle_graph(n, [c for c in cycle_chords(n) if rng.random() < 0.5]))
+    for idx in range(60):
+        n = 8 + idx % 3
+        g = visibility_graph(random_simple_polygon(n, 50000 + idx))
+        others = sorted(
+            (a, b) for a in range(n) for b in range(a + 1, n) if (a, b) not in g.edges
+        )
+        graphs.append(validate_graph(n, sorted(g.edges | {rng.choice(others)})))
+    return graphs
+
+
+def test_golden_verdicts_and_certificates():
+    # Pins the exact bytes of accepted assignments and of rejection
+    # certificates (conflict order, depths and narratives), not just the
+    # accept/reject bit.
+    digest = hashlib.sha256()
+    kinds = {"accepted": 0, EmptyCandidateSet: 0, ExhaustedSearch: 0}
+    for g in golden_graphs():
+        v = find_assignment(g)
+        kinds["accepted" if v.accepted else type(v.certificate)] += 1
+        digest.update(verdict_to_json(v).encode())
+    assert kinds == {"accepted": 83, EmptyCandidateSet: 83, ExhaustedSearch: 134}
+    assert digest.hexdigest() == GOLDEN_DIGEST
+
+
+@pytest.mark.parametrize("n, accepted", [(4, 3), (5, 16), (6, 134)])
+def test_small_n_census(n, accepted):
+    # Every Hamiltonian-cycle graph on n vertices: the verdict is invariant
+    # under rotation and reflection, and agrees with brute force for n <= 5.
+    chords = cycle_chords(n)
+    verdicts = {}
+    for picked in itertools.product((False, True), repeat=len(chords)):
+        g = cycle_graph(n, [c for c, keep in zip(chords, picked) if keep])
+        verdicts[g.edges] = find_assignment(g).accepted
+        if n <= 5:
+            assert verdicts[g.edges] == brute_force_accepts(g)
+    assert len(verdicts) == 2 ** len(chords)
+    assert sum(verdicts.values()) == accepted
+    for edges, ok in verdicts.items():
+        for shift, sign in itertools.product(range(n), (1, -1)):
+            image = frozenset(
+                tuple(sorted(((sign * i + shift) % n, (sign * j + shift) % n)))
+                for i, j in edges
+            )
+            assert verdicts[image] == ok
