@@ -21,7 +21,6 @@ from .conditions import (
     check_conditions,
     pinched_quadruples,
     separable_pairs,
-    violations_to_json,
 )
 from .errors import (
     DegenerateInput,

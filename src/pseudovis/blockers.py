@@ -37,12 +37,7 @@ class CandidateSet:
     ccw: int | None
 
     def members(self) -> tuple[int, ...]:
-        out = []
-        if self.cw is not None:
-            out.append(self.cw)
-        if self.ccw is not None:
-            out.append(self.ccw)
-        return tuple(out)
+        return tuple(v for v in (self.cw, self.ccw) if v is not None)
 
     def contains(self, v: int) -> bool:
         return v == self.cw or v == self.ccw
@@ -102,18 +97,16 @@ def candidate_blockers(g: VisGraph, pair: Pair) -> CandidateSet:
 
 
 @derived_table
-def _candidate_table(g: VisGraph) -> dict[Pair, CandidateSet]:
-    return {p: candidate_blockers(g, p) for p in invisible_pairs(g)}
-
-
 def all_candidates(g: VisGraph) -> dict[Pair, CandidateSet]:
-    """Candidate table over every ordered invisible pair.
+    """Candidate table over every ordered invisible pair, keyed in
+    lexicographic order.
 
+    The dict is the graph's shared table: callers must not mutate it.
     Pairs whose candidate set is empty are representable here and make
     recognition fail immediately downstream, since assignments may only
     draw from candidate sets.
     """
-    return dict(_candidate_table(g))
+    return {p: candidate_blockers(g, p) for p in invisible_pairs(g)}
 
 
 def blocker_side(n: int, pair: Pair, k: int) -> str:

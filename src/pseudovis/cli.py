@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import geometry, recognizer
-from .blockers import all_candidates, assignment_from_json, assignment_to_json
+from .blockers import assignment_from_json, assignment_to_json
 from .conditions import check_conditions, violation_to_dict
 from .errors import (
     GenerationBudgetExceeded,
@@ -123,7 +123,7 @@ CORPUS_CHECKS = (
 )
 
 
-def check_polygon(p: geometry.Polygon, budget: int = recognizer.DEFAULT_NODE_BUDGET) -> dict[str, bool]:
+def check_polygon(p: geometry.Polygon) -> dict[str, bool]:
     """Run the full ground-truth property battery on one polygon."""
     g = geometry.visibility_graph(p)
     results = {}
@@ -132,15 +132,14 @@ def check_polygon(p: geometry.Polygon, budget: int = recognizer.DEFAULT_NODE_BUD
     results["nc_clean"] = not check_conditions(g, a_geo)
     ve_geo = geometry.ve_graph_geo(p)
     results["ve_match"] = build_ve(g, a_geo, check=False) == ve_geo
-    cand = all_candidates(g)
-    results["ve_characterization"] = not check_ve_characterization(ve_geo, g, cand)
+    results["ve_characterization"] = not check_ve_characterization(ve_geo, g)
     results["edge_vertex"] = not geometry.check_edge_vertex_visibility(p)
     results["gap_cases"] = not geometry.check_gap_witness_cases(p)
-    verdict = recognizer.find_assignment(g, node_budget=budget)
+    verdict = recognizer.find_assignment(g)
     recognized = verdict.accepted
     if recognized:
         ve_found = build_ve(g, verdict.assignment or {}, check=False)
-        recognized = not check_ve_characterization(ve_found, g, cand)
+        recognized = not check_ve_characterization(ve_found, g)
     results["recognized"] = recognized
     return results
 

@@ -14,7 +14,6 @@ recognizer applies them as forced assignments instead).
 
 from __future__ import annotations
 
-import json
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterator
@@ -35,7 +34,6 @@ from .graph_core import (
     derived_table,
     in_interval,
     interval_vertices,
-    invisible_pairs,
 )
 
 CONDITIONS = ("NC1a", "NC1b", "NC2", "NC3case1", "NC3case2", "NC4", "NC5")
@@ -77,16 +75,19 @@ class _Requirement:
     via: tuple[Pair, ...] = ()
 
 
-def _mismatch(req: _Requirement, actual: int) -> Violation:
+def _mismatch(req: _Requirement, actual: int | None) -> Violation:
+    """req broken by the value actual found on its pair, or, with actual
+    None, by a required value that is not a candidate there."""
     i, j = req.trigger
     x, y = req.pair
+    found = "which is not a candidate there" if actual is None else f"found p{actual}"
     return Violation(
         condition=req.condition,
         pairs=(req.trigger,) + req.via + (req.pair,),
-        vertices=(req.blocker, req.value, actual),
+        vertices=(req.blocker, req.value) + (() if actual is None else (actual,)),
         narrative=(
             f"{req.condition}: p{req.blocker} on ({i},{j}) requires "
-            f"p{req.value} on ({x},{y}), found p{actual}"
+            f"p{req.value} on ({x},{y}), {found}"
         ),
     )
 
@@ -162,26 +163,22 @@ def entry_requirements(
 
 
 @derived_table
-def _separable_table(g: VisGraph) -> tuple[SeparablePair, ...]:
-    cand = all_candidates(g)
-    recs = []
-    items = sorted(cand.items())
-    for pair_a, cs_a in items:
-        for k in cs_a.members():
-            arc = blocking_far_arc(g.n, pair_a, k)
-            for pair_b, cs_b in items:
-                if pair_b == pair_a or not cs_b.contains(k):
-                    continue
-                s, t = pair_b
-                if s in arc and t in arc:
-                    recs.append(SeparablePair(k, pair_a, pair_b))
-    return tuple(sorted(recs, key=lambda r: (r.blocker, r.pair_a, r.pair_b)))
-
-
 def separable_pairs(g: VisGraph) -> list[SeparablePair]:
     """All separable invisible pairs: a shared candidate blocker with one
-    pair lying entirely on the arc beyond it."""
-    return list(_separable_table(g))
+    pair lying entirely on the arc beyond it, sorted by (blocker, pair_a,
+    pair_b).  The list is the graph's shared table: do not mutate it."""
+    by_blocker: dict[int, list[Pair]] = defaultdict(list)
+    for pair, cs in all_candidates(g).items():  # lexicographic pair order
+        for k in cs.members():
+            by_blocker[k].append(pair)
+    recs = []
+    for k, pairs in sorted(by_blocker.items()):
+        for pair_a in pairs:
+            arc = blocking_far_arc(g.n, pair_a, k)
+            for pair_b in pairs:
+                if pair_b != pair_a and pair_b[0] in arc and pair_b[1] in arc:
+                    recs.append(SeparablePair(k, pair_a, pair_b))
+    return recs
 
 
 def _ccw_ordered(n: int, a: int, b: int, c: int, d: int) -> bool:
@@ -200,8 +197,6 @@ def pinched_quadruples(g: VisGraph, a: Assignment) -> list[PinchedQuadruple]:
     for m, entries in sorted(by_target.items()):
         for j, i in entries:
             for s, t in entries:
-                if (j, i) == (s, t):
-                    continue
                 if len({i, j, s, t}) != 4:
                     continue
                 if not _ccw_ordered(n, i, j, s, t):
@@ -269,11 +264,11 @@ def _pinch_certified(g: VisGraph, a: Assignment, q: PinchedQuadruple, m2: int) -
 
 
 def _violations_iter(
-    g: VisGraph, a: Assignment, cand: dict[Pair, CandidateSet]
+    g: VisGraph, a: Assignment, cand: dict[Pair, CandidateSet] | None
 ) -> Iterator[Violation]:
-    inv = set(invisible_pairs(g))
+    cand = all_candidates(g) if cand is None else cand
     for pair, k in a.items():
-        if pair not in inv:
+        if pair not in cand:
             raise UnknownPair(f"{pair} is not an invisible pair")
         if not cand[pair].contains(k):
             raise NotACandidate(f"p{k} is not a candidate for {pair}")
@@ -303,7 +298,7 @@ def residual_violations(g: VisGraph, a: Assignment) -> Iterator[Violation]:
                 f"NC1b: p{k} blocks ({i},{j}) while p{i} blocks ({k},{j})",
             )
 
-    for rec in _separable_table(g):
+    for rec in separable_pairs(g):
         if a.get(rec.pair_a) == rec.blocker and a.get(rec.pair_b) == rec.blocker:
             lo, hi = sorted((rec.pair_a, rec.pair_b))
             yield Violation(
@@ -341,10 +336,9 @@ def check_conditions(
     drawn from the candidate table raise, they are never reported as
     violations.
     """
-    cand = candidates if candidates is not None else all_candidates(g)
     seen = set()
     out = []
-    for v in _violations_iter(g, a, cand):
+    for v in _violations_iter(g, a, candidates):
         key = (v.condition, v.pairs, v.vertices)
         if key not in seen:
             seen.add(key)
@@ -358,8 +352,7 @@ def first_violation(
     candidates: dict[Pair, CandidateSet] | None = None,
 ) -> Violation | None:
     """Cheapest witness that the assignment is inconsistent, if any."""
-    cand = candidates if candidates is not None else all_candidates(g)
-    return next(_violations_iter(g, a, cand), None)
+    return next(_violations_iter(g, a, candidates), None)
 
 
 def violation_to_dict(v: Violation) -> dict:
@@ -370,7 +363,3 @@ def violation_to_dict(v: Violation) -> dict:
         "narrative": v.narrative,
     }
 
-
-def violations_to_json(violations: list[Violation]) -> str:
-    rows = [violation_to_dict(v) for v in violations]
-    return json.dumps({"violations": rows}, sort_keys=True, indent=2) + "\n"

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .blockers import blocker_side, candidate_blockers, first_seen
+from .blockers import all_candidates, blocker_side, first_seen
 from .errors import (
     DegenerateInput,
     GenerationBudgetExceeded,
@@ -26,7 +26,6 @@ from .graph_core import (
     VisGraph,
     derived_table,
     interval_edges,
-    invisible_pairs,
     json_field,
     json_ints,
 )
@@ -99,15 +98,24 @@ def validate_polygon(vertices) -> Polygon:
         raise DegenerateInput("vertices {},{},{} are collinear".format(*triple))
     if signed_area2(tuple(pts)) <= 0:
         raise DegenerateInput("vertices are not in counterclockwise order")
-    for i in range(n):
-        for j in range(i + 1, n):
-            if j == i + 1 or (i == 0 and j == n - 1):
-                continue  # adjacent edges share only their vertex
-            a, b = pts[i], pts[(i + 1) % n]
-            c, d = pts[j], pts[(j + 1) % n]
-            if _segments_cross(a, b, c, d):
-                raise DegenerateInput(f"edges {i} and {j} cross: not simple")
+    crossing = _crossing_edges(pts)
+    if crossing is not None:
+        raise DegenerateInput("edges {} and {} cross: not simple".format(*crossing))
     return Polygon(tuple(pts))
+
+
+def _crossing_edges(pts: list[Point]) -> tuple[int, int] | None:
+    """First pair i < j of non-adjacent tour edges that cross, if any
+    (edge i joins pts[i] and pts[i+1])."""
+    n = len(pts)
+    for i in range(n):
+        a, b = pts[i], pts[(i + 1) % n]
+        for j in range(i + 2, n):
+            if i == 0 and j == n - 1:
+                continue  # adjacent edges share only their vertex
+            if _segments_cross(a, b, pts[j], pts[(j + 1) % n]):
+                return i, j
+    return None
 
 
 def _cone_contains(p: Polygon, v: int, d: Point) -> bool:
@@ -290,7 +298,7 @@ def designated_blocker_geo(p: Polygon, pair: Pair) -> int:
             f"viewer {i} sees {len(seen)} edges between p{k} and p{k2}, expected 1"
         )
     blocker = k if seen[0] in interval_edges(n, j, k2) else k2
-    if not candidate_blockers(g, pair).contains(blocker):
+    if not all_candidates(g)[pair].contains(blocker):
         raise OracleContradiction(
             f"geometric blocker p{blocker} of ({i},{j}) is not a candidate"
         )
@@ -300,7 +308,7 @@ def designated_blocker_geo(p: Polygon, pair: Pair) -> int:
 def geometric_blockers(p: Polygon) -> dict[Pair, int]:
     """Designated blocker of every ordered invisible pair."""
     g = visibility_graph(p)
-    return {pair: designated_blocker_geo(p, pair) for pair in invisible_pairs(g)}
+    return {pair: designated_blocker_geo(p, pair) for pair in all_candidates(g)}
 
 
 def _blocking_exit_edges(n: int, pair: Pair, v: int) -> set[int]:
@@ -328,7 +336,7 @@ def check_blocker_uniqueness(p: Polygon) -> list[str]:
     table = _exit_table(p)
     n = p.n
     failures = []
-    for pair in invisible_pairs(g):
+    for pair in all_candidates(g):
         i, j = pair
         try:
             algo = designated_blocker_geo(p, pair)
@@ -443,21 +451,9 @@ def _uncross_tour(pts: list[Point], swap_cap: int) -> bool:
     Each swap strictly shortens the tour, so this terminates; the cap is
     a defensive bound only.  Returns False if the cap is hit.
     """
-    n = len(pts)
     swaps = 0
     while True:
-        crossing = None
-        for i in range(n):
-            a, b = pts[i], pts[(i + 1) % n]
-            for j in range(i + 1, n):
-                if j == i + 1 or (i == 0 and j == n - 1):
-                    continue
-                c, d = pts[j], pts[(j + 1) % n]
-                if _segments_cross(a, b, c, d):
-                    crossing = (i, j)
-                    break
-            if crossing:
-                break
+        crossing = _crossing_edges(pts)
         if crossing is None:
             return True
         i, j = crossing

@@ -25,7 +25,7 @@ from .conditions import (
     violation_to_dict,
 )
 from .errors import SearchBudgetExceeded
-from .graph_core import Pair, VisGraph, invisible_pairs
+from .graph_core import Pair, VisGraph
 
 DEFAULT_NODE_BUDGET = 1_000_000
 
@@ -96,15 +96,7 @@ def _propagate(
                 cur = a.get(req.pair)
                 if cur is None:
                     if not cand[req.pair].contains(req.value):
-                        return Violation(
-                            req.condition,
-                            (req.trigger,) + req.via + (req.pair,),
-                            (req.blocker, req.value),
-                            f"{req.condition}: p{req.blocker} on "
-                            f"({req.trigger[0]},{req.trigger[1]}) requires "
-                            f"p{req.value} on ({req.pair[0]},{req.pair[1]}), "
-                            f"which is not a candidate there",
-                        )
+                        return _mismatch(req, None)
                     a[req.pair] = req.value
                     added(req.pair)
                 elif cur != req.value:
@@ -122,13 +114,12 @@ def find_assignment(
     logged as (assignment depth, violation) in the rejection certificate.
     Raises SearchBudgetExceeded past node_budget branch extensions.
     """
-    pairs = invisible_pairs(g)
-    cand = all_candidates(g)
-    for p in pairs:
-        if cand[p].is_empty:
+    cand = all_candidates(g)  # keyed by the invisible pairs, lexicographic
+    for p, cs in cand.items():
+        if cs.is_empty:
             return Verdict(False, certificate=EmptyCandidateSet(p))
 
-    order = sorted(pairs, key=lambda p: (len(cand[p].members()), p))
+    order = sorted(cand, key=lambda p: (len(cand[p].members()), p))
     conflicts: list[tuple[int, Violation]] = []
     nodes = 0
 
@@ -163,18 +154,16 @@ def find_assignment(
 
 def verify(g: VisGraph, a: Assignment) -> VerifyReport:
     """True iff the assignment is total, candidate-respecting and NC-clean."""
-    cand = all_candidates(g)
-    inv = invisible_pairs(g)
-    inv_set = set(inv)
+    cand = all_candidates(g)  # keyed by the invisible pairs, lexicographic
     problems = []
     for pair in sorted(a):
-        if pair not in inv_set:
+        if pair not in cand:
             problems.append(f"({pair[0]},{pair[1]}) is not an invisible pair")
         elif not cand[pair].contains(a[pair]):
             problems.append(
                 f"p{a[pair]} is not a candidate blocker for ({pair[0]},{pair[1]})"
             )
-    for pair in inv:
+    for pair in cand:
         if pair not in a:
             problems.append(f"({pair[0]},{pair[1]}) is unassigned")
     if problems:

@@ -75,21 +75,19 @@ def build_ve(g: VisGraph, a: Assignment, check: bool = True) -> VEGraph:
         by_viewer[i].append((t, b))
     rows = []
     for i in range(n):
+        start = (i + 1) % n
         row = set()
         for m in range(n):
             if m == i or m == (i - 1) % n:
                 row.add(m)  # incident edges are always seen
                 continue
-            blocked = False
-            for t, b in by_viewer[i]:
-                near_b = in_interval(n, (i + 1) % n, m, b)
-                far_b = in_interval(n, (m + 1) % n, (i - 1) % n, b)
-                near_t = in_interval(n, (i + 1) % n, m, t)
-                far_t = in_interval(n, (m + 1) % n, (i - 1) % n, t)
-                if (near_b and far_t) or (far_b and near_t):
-                    blocked = True
-                    break
-            if not blocked:
+            # Neither blocker nor target is the viewer, so each lies on
+            # exactly one of the two arcs the edge leaves, start..m and
+            # m+1..i-1: the edge is hidden iff they lie on different arcs.
+            if all(
+                in_interval(n, start, m, b) == in_interval(n, start, m, t)
+                for t, b in by_viewer[i]
+            ):
                 row.add(m)
         rows.append(frozenset(row))
     return VEGraph(n, tuple(rows))

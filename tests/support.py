@@ -11,7 +11,7 @@ import itertools
 
 from pseudovis import CandidateSet, Polygon, VisGraph, validate_graph, validate_polygon
 from pseudovis.blockers import all_candidates
-from pseudovis.conditions import check_conditions, first_violation
+from pseudovis.conditions import SeparablePair, check_conditions, first_violation
 from pseudovis.graph_core import interval_vertices, invisible_pairs
 
 
@@ -49,6 +49,28 @@ def naive_candidates(g: VisGraph, pair) -> CandidateSet:
         interval_vertices(n, j, (k2 - 1) % n), interval_vertices(n, (k2 + 1) % n, i)
     ) else None
     return CandidateSet(cw, ccw)
+
+
+def naive_separable_pairs(g: VisGraph) -> list[SeparablePair]:
+    """Every ordered pair of invisible pairs checked against the
+    definition: pair_b shares the candidate blocker k of pair_a and both
+    its ends lie on the walk from k to pair_a's target away from the
+    viewer (k and the target included)."""
+    n = g.n
+    cand = {p: naive_candidates(g, p) for p in invisible_pairs(g)}
+    out = []
+    for (i, j), cs_a in cand.items():
+        for k in cs_a.members():
+            step = 1 if k in interval_vertices(n, i, j) else -1
+            arc = {k}
+            v = k
+            while v != j:
+                v = (v + step) % n
+                arc.add(v)
+            for (s, t), cs_b in cand.items():
+                if (s, t) != (i, j) and k in cs_b.members() and {s, t} <= arc:
+                    out.append(SeparablePair(k, (i, j), (s, t)))
+    return sorted(out, key=lambda r: (r.blocker, r.pair_a, r.pair_b))
 
 
 def brute_force_accepts(g: VisGraph) -> bool:

@@ -16,7 +16,7 @@ from pseudovis import (
     separable_pairs,
     visibility_graph,
 )
-from support import cycle_graph, reflect_graph, reflect_index
+from support import cycle_graph, naive_separable_pairs, reflect_graph, reflect_index
 
 # Hand-built six-cycle assignment whose quadruple (0,1,3,4) is pinched
 # both ways (targets 5 and 2), with every shadow pinned by the extra
@@ -113,6 +113,23 @@ def test_separable_on_chordless_six_cycle():
         cand = all_candidates(g)
         assert cand[rec.pair_a].contains(rec.blocker)
         assert cand[rec.pair_b].contains(rec.blocker)
+
+
+@st.composite
+def chord_graphs(draw):
+    n = draw(st.integers(4, 8))
+    chords = [
+        (i, j)
+        for i in range(n)
+        for j in range(i + 2, n)
+        if not (i == 0 and j == n - 1)
+    ]
+    return cycle_graph(n, draw(st.frozensets(st.sampled_from(chords))))
+
+
+@given(chord_graphs())
+def test_separable_matches_definition_scan(g):
+    assert separable_pairs(g) == naive_separable_pairs(g)
 
 
 def test_nc4_fires_on_shared_separable_blocker():

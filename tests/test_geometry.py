@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -6,20 +7,25 @@ from hypothesis import given, settings, strategies as st
 from pseudovis import (
     DegenerateInput,
     NotInvisible,
+    assignment_to_json,
+    build_ve,
     check_blocker_uniqueness,
     check_edge_vertex_visibility,
     check_gap_witness_cases,
     designated_blocker_geo,
     find_assignment,
     geometric_blockers,
+    graph_to_json,
     polygon_from_json,
     polygon_to_json,
     random_simple_polygon,
     ray_first_exit,
     sees_edge,
     sees_vertex,
+    separable_pairs,
     validate_polygon,
     ve_graph_geo,
+    ve_to_json,
     visibility_graph,
 )
 from support import reflect_polygon
@@ -165,3 +171,26 @@ def test_reflection_preserves_recognition(dent5_poly, blocked_quad):
 
 def test_polygon_json_round_trip(dent5_poly):
     assert polygon_from_json(polygon_to_json(dent5_poly)) == dent5_poly
+
+
+# sha256 of the oracle and table outputs below over 160 seeded polygons,
+# recorded before the candidate and separable tables stopped being copied.
+ORACLE_GOLDEN_DIGEST = "141955a3675ebd81f13229abb90e6fcca8ec4ffb1b8b86f5b2ab58e148cecebc"
+
+
+def test_golden_oracle_outputs():
+    digest = hashlib.sha256()
+    for idx in range(160):
+        p = random_simple_polygon(5 + idx % 8, 70000 + idx)
+        g = visibility_graph(p)
+        a = geometric_blockers(p)
+        for text in (
+            graph_to_json(g),
+            assignment_to_json(a),
+            ve_to_json(ve_graph_geo(p)),
+            ve_to_json(build_ve(g, a)),
+            repr(separable_pairs(g)),
+            repr(check_blocker_uniqueness(p)),
+        ):
+            digest.update(text.encode())
+    assert digest.hexdigest() == ORACLE_GOLDEN_DIGEST

@@ -15,6 +15,7 @@ from pseudovis import (
     interval_edges,
     interval_vertices,
     invisible_pairs,
+    separable_pairs,
     validate_graph,
     visibility_graph,
 )
@@ -130,3 +131,10 @@ def test_inputs_pickle_with_derived_tables(dent5_poly):
     assert dent5_poly.tables and g.tables
     restored = pickle.loads(pickle.dumps(dent5_poly))
     assert restored == dent5_poly and geometric_blockers(restored) == blockers
+
+
+def test_derived_tables_are_shared():
+    # Readers get the graph's own tables, not a copy per call.
+    g = cycle_graph(6)
+    assert all_candidates(g) is all_candidates(g)
+    assert separable_pairs(g) is separable_pairs(g)
