@@ -15,10 +15,12 @@ from .errors import NotACandidate, NotInvisible
 from .graph_core import (
     Pair,
     VisGraph,
+    arc_mask,
     derived_table,
     interval_vertices,
     invisible_pairs,
     json_field,
+    rows,
     strictly_inside,
 )
 
@@ -47,17 +49,20 @@ class CandidateSet:
         return self.cw is None and self.ccw is None
 
 
-def _arc_pair_visible(g: VisGraph, side_a: list[int], side_b: list[int]) -> bool:
-    """True if any vertex of side_a sees any vertex of side_b."""
-    return any(g.visible(s, t) for s in side_a for t in side_b)
+def _arc_pair_visible(g: VisGraph, a0: int, a1: int, b0: int, b1: int) -> bool:
+    """True if any vertex of the walk a0..a1 sees any vertex of the walk
+    b0..b1."""
+    r, far = rows(g), arc_mask(g.n, b0, b1)
+    return any(r[s] & far for s in interval_vertices(g.n, a0, a1))
 
 
 def first_seen(g: VisGraph, viewer: int, target: int, step: int) -> int:
     """First vertex the viewer sees walking from the target, one step of
     -1 (clockwise) or +1 (counterclockwise) at a time.  The viewer sees
     both its neighbours, so the walk always ends."""
+    row = rows(g)[viewer]
     k = (target + step) % g.n
-    while not g.visible(viewer, k):
+    while not row >> k & 1:
         k = (k + step) % g.n
     return k
 
@@ -77,20 +82,12 @@ def candidate_blockers(g: VisGraph, pair: Pair) -> CandidateSet:
 
     k = first_seen(g, i, j, -1)
     cw: int | None = k
-    if _arc_pair_visible(
-        g,
-        interval_vertices(n, i, (k - 1) % n),
-        interval_vertices(n, (k + 1) % n, j),
-    ):
+    if _arc_pair_visible(g, i, (k - 1) % n, (k + 1) % n, j):
         cw = None
 
     k2 = first_seen(g, i, j, 1)
     ccw: int | None = k2
-    if _arc_pair_visible(
-        g,
-        interval_vertices(n, j, (k2 - 1) % n),
-        interval_vertices(n, (k2 + 1) % n, i),
-    ):
+    if _arc_pair_visible(g, j, (k2 - 1) % n, (k2 + 1) % n, i):
         ccw = None
 
     return CandidateSet(cw, ccw)
@@ -138,13 +135,13 @@ def far_side_vertices(n: int, pair: Pair, k: int) -> list[int]:
     return interval_vertices(n, j, (k - 1) % n)
 
 
-def blocking_far_arc(n: int, pair: Pair, k: int) -> set[int]:
-    """Vertices of the arc between blocker and target that avoids the
+def blocking_far_arc(n: int, pair: Pair, k: int) -> int:
+    """Bitmask of the arc between blocker and target that avoids the
     viewer, including both arc endpoints."""
     i, j = pair
     if blocker_side(n, pair, k) == "cw":
-        return set(interval_vertices(n, k, j))
-    return set(interval_vertices(n, j, k))
+        return arc_mask(n, k, j)
+    return arc_mask(n, j, k)
 
 
 def assignment_to_dict(a: Assignment) -> dict:

@@ -39,6 +39,9 @@ def _read(path: str) -> str:
 
 
 def cmd_recognize(args) -> int:
+    if args.budget < 1:
+        sys.stderr.write("recognize: need --budget >= 1\n")
+        return EXIT_INPUT
     g = graph_from_json(_read(args.graph))
     verdict = recognizer.find_assignment(g, node_budget=args.budget)
     extra = None
@@ -98,8 +101,8 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    if args.n < 3:
-        sys.stderr.write("gen: need --n >= 3\n")
+    if args.n < 3 or args.count < 1:
+        sys.stderr.write("gen: need --n >= 3 and --count >= 1\n")
         return EXIT_INPUT
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

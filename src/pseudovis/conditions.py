@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .blockers import (
     Assignment,
@@ -30,9 +30,7 @@ from .errors import NotACandidate, UnknownPair
 from .graph_core import (
     Pair,
     VisGraph,
-    ccw_dist,
     derived_table,
-    in_interval,
     interval_vertices,
 )
 
@@ -63,8 +61,7 @@ class PinchedQuadruple:
     m: int
 
 
-@dataclass(frozen=True)
-class _Requirement:
+class _Requirement(NamedTuple):
     """pair must be assigned value, implied by trigger (+ via entries)."""
 
     pair: Pair
@@ -176,13 +173,9 @@ def separable_pairs(g: VisGraph) -> list[SeparablePair]:
         for pair_a in pairs:
             arc = blocking_far_arc(g.n, pair_a, k)
             for pair_b in pairs:
-                if pair_b != pair_a and pair_b[0] in arc and pair_b[1] in arc:
+                if pair_b != pair_a and arc >> pair_b[0] & arc >> pair_b[1] & 1:
                     recs.append(SeparablePair(k, pair_a, pair_b))
     return recs
-
-
-def _ccw_ordered(n: int, a: int, b: int, c: int, d: int) -> bool:
-    return 0 < ccw_dist(n, a, b) < ccw_dist(n, a, c) < ccw_dist(n, a, d)
 
 
 def pinched_quadruples(g: VisGraph, a: Assignment) -> list[PinchedQuadruple]:
@@ -193,18 +186,21 @@ def pinched_quadruples(g: VisGraph, a: Assignment) -> list[PinchedQuadruple]:
     by_target: dict[int, list[tuple[int, int]]] = defaultdict(list)
     for (v, m), b in a.items():
         by_target[m].append((v, b))
-    quads = set()
-    for m, entries in sorted(by_target.items()):
+    quads = []
+    for m, entries in by_target.items():
+        if len(entries) < 2:
+            continue
         for j, i in entries:
+            dj = (j - i) % n
             for s, t in entries:
-                if len({i, j, s, t}) != 4:
-                    continue
-                if not _ccw_ordered(n, i, j, s, t):
-                    continue
-                if not in_interval(n, t, i, m):
-                    continue
-                quads.add(PinchedQuadruple(i, j, s, t, m))
-    return sorted(quads, key=lambda q: (q.i, q.j, q.s, q.t, q.m))
+                # ccw distances from i; 0 < dj < ds < dt makes all four
+                # distinct, and each (viewer, m) entry is unique, so each
+                # quadruple arises once.
+                ds, dt = (s - i) % n, (t - i) % n
+                if 0 < dj < ds < dt and (m - t) % n <= n - dt:
+                    quads.append((i, j, s, t, m))
+    quads.sort()
+    return [PinchedQuadruple(*q) for q in quads]
 
 
 def _cap_spans_exactly(

@@ -56,6 +56,14 @@ def interval_vertices(n: int, i: int, j: int) -> list[int]:
     return [(i + d) % n for d in range(ccw_dist(n, i, j) + 1)]
 
 
+def arc_mask(n: int, a: int, b: int) -> int:
+    """Bitmask of interval_vertices(n, a, b): bit v is set iff v lies on
+    the inclusive counterclockwise walk from a to b."""
+    if a <= b:
+        return (1 << (b + 1)) - (1 << a)
+    return ((1 << n) - (1 << a)) | ((1 << (b + 1)) - 1)
+
+
 def interval_edges(n: int, i: int, j: int) -> list[int]:
     """Boundary-edge indices of the counterclockwise walk from i to j.
 
@@ -112,6 +120,17 @@ def validate_graph(n: int, pairs: Iterable[Iterable[int]]) -> VisGraph:
         if ((i, j) if i < j else (j, i)) not in edges:
             raise MissingCycleEdge(f"cycle edge {{{i},{j}}} missing")
     return VisGraph(n, frozenset(edges))
+
+
+@derived_table
+def rows(g: VisGraph) -> tuple[int, ...]:
+    """Per-vertex neighbour bitmasks: bit t of rows(g)[s] is set iff s
+    sees t."""
+    masks = [0] * g.n
+    for i, j in g.edges:
+        masks[i] |= 1 << j
+        masks[j] |= 1 << i
+    return tuple(masks)
 
 
 def invisible_pairs(g: VisGraph) -> list[Pair]:

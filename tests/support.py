@@ -11,8 +11,13 @@ import itertools
 
 from pseudovis import CandidateSet, Polygon, VisGraph, validate_graph, validate_polygon
 from pseudovis.blockers import all_candidates
-from pseudovis.conditions import SeparablePair, check_conditions, first_violation
-from pseudovis.graph_core import interval_vertices, invisible_pairs
+from pseudovis.conditions import (
+    PinchedQuadruple,
+    SeparablePair,
+    check_conditions,
+    first_violation,
+)
+from pseudovis.graph_core import ccw_dist, in_interval, interval_vertices, invisible_pairs
 
 
 def cycle_graph(n: int, chords=()) -> VisGraph:
@@ -71,6 +76,23 @@ def naive_separable_pairs(g: VisGraph) -> list[SeparablePair]:
                 if (s, t) != (i, j) and k in cs_b.members() and {s, t} <= arc:
                     out.append(SeparablePair(k, (i, j), (s, t)))
     return sorted(out, key=lambda r: (r.blocker, r.pair_a, r.pair_b))
+
+
+def naive_pinched_quadruples(g: VisGraph, a: dict) -> list[PinchedQuadruple]:
+    """Every pair of entries (j, m) -> i and (s, m) -> t with a shared
+    target m checked against the definition: i, j, s, t are four distinct
+    vertices in counterclockwise order and m lies on the walk from t to i."""
+    n = g.n
+    out = set()
+    for (j, m), i in a.items():
+        for (s, m2), t in a.items():
+            if m2 != m or len({i, j, s, t}) != 4:
+                continue
+            if not 0 < ccw_dist(n, i, j) < ccw_dist(n, i, s) < ccw_dist(n, i, t):
+                continue
+            if in_interval(n, t, i, m):
+                out.add(PinchedQuadruple(i, j, s, t, m))
+    return sorted(out, key=lambda q: (q.i, q.j, q.s, q.t, q.m))
 
 
 def brute_force_accepts(g: VisGraph) -> bool:

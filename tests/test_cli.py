@@ -12,6 +12,7 @@ from pseudovis import (
     visibility_graph,
 )
 from pseudovis.cli import check_polygon, main
+from pseudovis.graph_core import rows
 from conftest import DENT5_VERTICES
 from support import complete_graph, cycle_graph
 
@@ -60,6 +61,15 @@ def test_recognize_budget(tmp_path, capsys):
     path = write(tmp_path, "c6.json", graph_to_json(cycle_graph(6)))
     code, _ = run(capsys, ["recognize", path, "--budget", "1"])
     assert code == 3
+
+
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_recognize_rejects_nonpositive_budget(tmp_path, capsys, budget):
+    path = write(tmp_path, "k5.json", graph_to_json(complete_graph(5)))
+    code = main(["recognize", path, "--budget", budget])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "" and "--budget >= 1" in captured.err
 
 
 def test_oracle_visgraph(tmp_path, capsys, dent5_file):
@@ -142,8 +152,10 @@ def test_malformed_json_is_input_error(tmp_path, capsys, command, texts):
 def test_check_polygon_keeps_no_reference():
     p = random_simple_polygon(8, 5)
     assert all(check_polygon(p).values())
-    polygon, graph = weakref.ref(p), weakref.ref(visibility_graph(p))
-    del p
+    g = visibility_graph(p)
+    assert rows in g.tables  # the bitset rows are freed with the graph too
+    polygon, graph = weakref.ref(p), weakref.ref(g)
+    del p, g
     gc.collect()
     assert polygon() is None and graph() is None
 
@@ -169,6 +181,15 @@ def test_gen_count(tmp_path, capsys):
 def test_gen_rejects_small_n(tmp_path, capsys):
     assert main(["gen", "--n", "2", "--seed", "1", "--out", str(tmp_path)]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_gen_rejects_nonpositive_count(tmp_path, capsys, count):
+    code = main(["gen", "--n", "5", "--count", count, "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "" and "--count >= 1" in captured.err
+    assert not (tmp_path / "out").exists()
 
 
 def test_corpus_deterministic(capsys):

@@ -16,7 +16,13 @@ from pseudovis import (
     separable_pairs,
     visibility_graph,
 )
-from support import cycle_graph, naive_separable_pairs, reflect_graph, reflect_index
+from support import (
+    cycle_graph,
+    naive_pinched_quadruples,
+    naive_separable_pairs,
+    reflect_graph,
+    reflect_index,
+)
 
 # Hand-built six-cycle assignment whose quadruple (0,1,3,4) is pinched
 # both ways (targets 5 and 2), with every shadow pinned by the extra
@@ -148,6 +154,29 @@ def test_pinched_hand_built():
     g = cycle_graph(6)
     quads = pinched_quadruples(g, {(1, 5): 0, (2, 5): 3})
     assert quads == [PinchedQuadruple(0, 1, 2, 3, 5)]
+
+
+@st.composite
+def arbitrary_partial_assignments(draw):
+    # Any vertex may stand as a blocker, including the pair's own ends.
+    n = draw(st.integers(4, 11))
+    chords = [
+        (i, j)
+        for i in range(n)
+        for j in range(i + 2, n)
+        if not (i == 0 and j == n - 1)
+    ]
+    g = cycle_graph(n, draw(st.frozensets(st.sampled_from(chords))))
+    pool = invisible_pairs(g)
+    pairs = draw(st.sets(st.sampled_from(pool))) if pool else []
+    return g, {pair: draw(st.integers(0, n - 1)) for pair in sorted(pairs)}
+
+
+@settings(max_examples=200)
+@given(arbitrary_partial_assignments())
+def test_pinched_matches_definition_scan(ga):
+    g, a = ga
+    assert pinched_quadruples(g, a) == naive_pinched_quadruples(g, a)
 
 
 def test_nc5_fires_on_certified_double_pinch():

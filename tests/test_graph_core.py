@@ -19,6 +19,7 @@ from pseudovis import (
     validate_graph,
     visibility_graph,
 )
+from pseudovis.graph_core import arc_mask, rows
 from support import complete_graph, cycle_graph
 
 
@@ -106,6 +107,23 @@ def graphs(draw):
     return cycle_graph(n, picked)
 
 
+def test_arc_mask_matches_interval_vertices():
+    for n in range(3, 14):
+        for a in range(n):
+            for b in range(n):
+                expected = sum(1 << v for v in interval_vertices(n, a, b))
+                assert arc_mask(n, a, b) == expected, (n, a, b)
+
+
+@given(graphs())
+def test_rows_match_visible(g):
+    r = rows(g)
+    assert len(r) == g.n
+    for s in range(g.n):
+        for t in range(g.n):
+            assert bool(r[s] >> t & 1) == g.visible(s, t)
+
+
 @given(graphs())
 def test_invisible_pairs_symmetric(g):
     pairs = invisible_pairs(g)
@@ -128,9 +146,10 @@ def test_inputs_pickle_with_derived_tables(dent5_poly):
     g = visibility_graph(dent5_poly)
     all_candidates(g)
     blockers = geometric_blockers(dent5_poly)
-    assert dent5_poly.tables and g.tables
+    assert dent5_poly.tables and rows in g.tables
     restored = pickle.loads(pickle.dumps(dent5_poly))
     assert restored == dent5_poly and geometric_blockers(restored) == blockers
+    assert rows(visibility_graph(restored)) == rows(g)
 
 
 def test_derived_tables_are_shared():
