@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .errors import NotACandidate, NotInvisible
+from .errors import MalformedInput, NotInvisible
 from .graph_core import (
     Pair,
     VisGraph,
@@ -49,11 +49,32 @@ class CandidateSet:
         return self.cw is None and self.ccw is None
 
 
-def _arc_pair_visible(g: VisGraph, a0: int, a1: int, b0: int, b1: int) -> bool:
-    """True if any vertex of the walk a0..a1 sees any vertex of the walk
-    b0..b1."""
-    r, far = rows(g), arc_mask(g.n, b0, b1)
-    return any(r[s] & far for s in interval_vertices(g.n, a0, a1))
+def entry_arcs(n: int, pair: Pair, k: int) -> tuple[Pair, Pair]:
+    """The two arcs of an entry (pair -> k): k splits the walk between
+    viewer and target that holds it into the near arc, from the viewer to
+    the blocker, and the far arc, from the blocker to the target.  Each
+    is returned as the endpoints of an inclusive counterclockwise walk
+    and excludes k.
+
+    Precondition, not checked: k is neither viewer nor target.  A
+    candidate of the pair never is, and the other callers skip both
+    endpoints before calling.
+    """
+    i, j = pair
+    if strictly_inside(n, i, j, k):
+        return (i, (k - 1) % n), ((k + 1) % n, j)
+    return ((k + 1) % n, i), (j, (k - 1) % n)
+
+
+def _arc_pair_visible(g: VisGraph, a: Pair, b: Pair) -> bool:
+    """True if any vertex of the walk a[0]..a[1] sees any vertex of the
+    walk b[0]..b[1].  It scans b, on the whole the shorter (far) arc, in
+    a plain loop, which is faster here than any() over a generator."""
+    r, mask = rows(g), arc_mask(g.n, *a)
+    for s in interval_vertices(g.n, *b):
+        if r[s] & mask:
+            return True
+    return False
 
 
 def first_seen(g: VisGraph, viewer: int, target: int, step: int) -> int:
@@ -71,25 +92,17 @@ def candidate_blockers(g: VisGraph, pair: Pair) -> CandidateSet:
     """Compute the candidate set of an ordered invisible pair.
 
     Clockwise side: walk j-1, j-2, ... until the first vertex k that i
-    sees; k qualifies unless some visible pair joins the walk-from-i arc
-    before k to the arc from k+1 through j.  The counterclockwise side is
-    symmetric.
+    sees; k qualifies unless some visible pair joins the near and far
+    arcs of the entry pair -> k (entry_arcs).  The counterclockwise side
+    is symmetric.
     """
     i, j = pair
-    n = g.n
     if i == j or g.visible(i, j):
         raise NotInvisible(f"({i},{j}) is not an invisible pair")
-
-    k = first_seen(g, i, j, -1)
-    cw: int | None = k
-    if _arc_pair_visible(g, i, (k - 1) % n, (k + 1) % n, j):
-        cw = None
-
-    k2 = first_seen(g, i, j, 1)
-    ccw: int | None = k2
-    if _arc_pair_visible(g, j, (k2 - 1) % n, (k2 + 1) % n, i):
-        ccw = None
-
+    cw, ccw = [
+        None if _arc_pair_visible(g, *entry_arcs(g.n, pair, k)) else k
+        for k in (first_seen(g, i, j, -1), first_seen(g, i, j, 1))
+    ]
     return CandidateSet(cw, ccw)
 
 
@@ -106,44 +119,6 @@ def all_candidates(g: VisGraph) -> dict[Pair, CandidateSet]:
     return {p: candidate_blockers(g, p) for p in invisible_pairs(g)}
 
 
-def blocker_side(n: int, pair: Pair, k: int) -> str:
-    """'cw' if k lies strictly between viewer and target counterclockwise,
-    'ccw' if strictly on the opposite arc."""
-    i, j = pair
-    if strictly_inside(n, i, j, k):
-        return "cw"
-    if strictly_inside(n, j, i, k):
-        return "ccw"
-    raise NotACandidate(f"p{k} coincides with an endpoint of ({i},{j})")
-
-
-def near_side_vertices(n: int, pair: Pair, k: int) -> list[int]:
-    """Vertices on the arc between viewer and blocker that avoids the
-    target, excluding the blocker (the viewer is included)."""
-    i, j = pair
-    if blocker_side(n, pair, k) == "cw":
-        return interval_vertices(n, i, (k - 1) % n)
-    return interval_vertices(n, (k + 1) % n, i)
-
-
-def far_side_vertices(n: int, pair: Pair, k: int) -> list[int]:
-    """Vertices on the arc between blocker and target that avoids the
-    viewer, excluding the blocker (the target is included)."""
-    i, j = pair
-    if blocker_side(n, pair, k) == "cw":
-        return interval_vertices(n, (k + 1) % n, j)
-    return interval_vertices(n, j, (k - 1) % n)
-
-
-def blocking_far_arc(n: int, pair: Pair, k: int) -> int:
-    """Bitmask of the arc between blocker and target that avoids the
-    viewer, including both arc endpoints."""
-    i, j = pair
-    if blocker_side(n, pair, k) == "cw":
-        return arc_mask(n, k, j)
-    return arc_mask(n, j, k)
-
-
 def assignment_to_dict(a: Assignment) -> dict:
     rows = [{"from": i, "to": j, "blocker": b} for (i, j), b in sorted(a.items())]
     return {"blockers": rows}
@@ -157,5 +132,7 @@ def assignment_from_json(text: str) -> Assignment:
     out: Assignment = {}
     for row in json_field(json.loads(text), "blockers", list):
         i, j, k = (json_field(row, key, int) for key in ("from", "to", "blocker"))
+        if (i, j) in out:
+            raise MalformedInput(f"pair ({i},{j}) is listed more than once")
         out[(i, j)] = k
     return out

@@ -18,18 +18,12 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
-from .blockers import (
-    Assignment,
-    CandidateSet,
-    all_candidates,
-    blocking_far_arc,
-    far_side_vertices,
-    near_side_vertices,
-)
+from .blockers import Assignment, CandidateSet, all_candidates, entry_arcs
 from .errors import NotACandidate, UnknownPair
 from .graph_core import (
     Pair,
     VisGraph,
+    arc_mask,
     derived_table,
     interval_vertices,
 )
@@ -116,8 +110,7 @@ def entry_requirements(
     """
     n = g.n
     i, j = pair
-    near = near_side_vertices(n, pair, k)
-    far = far_side_vertices(n, pair, k)
+    near, far = [interval_vertices(n, *arc) for arc in entry_arcs(n, pair, k)]
 
     # NC1 part (1): the blocker of (i,j) blocks i from the whole far arc.
     for t in far:
@@ -171,7 +164,8 @@ def separable_pairs(g: VisGraph) -> list[SeparablePair]:
     recs = []
     for k, pairs in sorted(by_blocker.items()):
         for pair_a in pairs:
-            arc = blocking_far_arc(g.n, pair_a, k)
+            _, far = entry_arcs(g.n, pair_a, k)
+            arc = arc_mask(g.n, *far) | 1 << k
             for pair_b in pairs:
                 if pair_b != pair_a and arc >> pair_b[0] & arc >> pair_b[1] & 1:
                     recs.append(SeparablePair(k, pair_a, pair_b))

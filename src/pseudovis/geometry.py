@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .blockers import all_candidates, blocker_side, first_seen
+from .blockers import all_candidates, first_seen
 from .errors import (
     DegenerateInput,
     GenerationBudgetExceeded,
@@ -28,6 +28,7 @@ from .graph_core import (
     interval_edges,
     json_field,
     json_ints,
+    strictly_inside,
 )
 from .vertex_edge import VEGraph, seen_edge_gaps
 
@@ -311,16 +312,6 @@ def geometric_blockers(p: Polygon) -> dict[Pair, int]:
     return {pair: designated_blocker_geo(p, pair) for pair in all_candidates(g)}
 
 
-def _blocking_exit_edges(n: int, pair: Pair, v: int) -> set[int]:
-    """Edges through which the continuation ray of a blocker v for the
-    pair may exit: the boundary walk between viewer and target on the
-    side away from v."""
-    i, j = pair
-    if blocker_side(n, pair, v) == "cw":
-        return set(interval_edges(n, j, i))
-    return set(interval_edges(n, i, j))
-
-
 def check_blocker_uniqueness(p: Polygon) -> list[str]:
     """Exactly-one-blocker scan over all ordered invisible pairs.
 
@@ -348,14 +339,15 @@ def check_blocker_uniqueness(p: Polygon) -> list[str]:
             if v in (i, j) or not g.visible(i, v):
                 continue
             hit = table[(v, i)]
-            if hit is not None and hit.edge in _blocking_exit_edges(n, pair, v):
+            away = (j, i) if strictly_inside(n, i, j, v) else (i, j)
+            if hit is not None and hit.edge in interval_edges(n, *away):
                 by_ray.append(v)
         if by_ray != [algo]:
             failures.append(
                 f"pair ({i},{j}): ray scan found {by_ray}, extraction found {algo}"
             )
             continue
-        if blocker_side(n, pair, algo) == "ccw":
+        if not strictly_inside(n, i, j, algo):
             # Second convention for far-side blockers: the ray must exit
             # between the first vertex the viewer sees walking clockwise
             # from the target and the blocker itself.

@@ -53,7 +53,9 @@ def interval_vertices(n: int, i: int, j: int) -> list[int]:
 
     The degenerate walk from i to itself contains just i.
     """
-    return [(i + d) % n for d in range(ccw_dist(n, i, j) + 1)]
+    if i <= j:
+        return list(range(i, j + 1))
+    return [*range(i, n), *range(j + 1)]
 
 
 def arc_mask(n: int, a: int, b: int) -> int:

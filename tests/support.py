@@ -56,6 +56,22 @@ def naive_candidates(g: VisGraph, pair) -> CandidateSet:
     return CandidateSet(cw, ccw)
 
 
+def naive_entry_arcs(n: int, pair, k: int) -> tuple[set[int], set[int]]:
+    """Near and far vertex sets of an entry (pair -> k) from the
+    definition: k lies on one of the two walks between viewer i and
+    target j; the near arc is the rest of the walk between i and k that
+    avoids j, the far arc the rest of the walk between k and j that
+    avoids i."""
+    i, j = pair
+
+    def walk(a, b):
+        return {v for v in range(n) if in_interval(n, a, b, v)} - {k}
+
+    if in_interval(n, i, j, k):
+        return walk(i, k), walk(k, j)
+    return walk(k, i), walk(j, k)
+
+
 def naive_separable_pairs(g: VisGraph) -> list[SeparablePair]:
     """Every ordered pair of invisible pairs checked against the
     definition: pair_b shares the candidate blocker k of pair_a and both

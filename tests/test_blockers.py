@@ -11,7 +11,9 @@ from pseudovis import (
     invisible_pairs,
     visibility_graph,
 )
-from support import cycle_graph, naive_candidates
+from pseudovis.blockers import entry_arcs
+from pseudovis.graph_core import interval_vertices
+from support import cycle_graph, naive_candidates, naive_entry_arcs
 
 
 def test_quad4_candidates(quad4):
@@ -43,6 +45,27 @@ def test_empty_candidate_set_representable():
     cs = all_candidates(g)[(0, 3)]
     assert cs.is_empty
     assert cs.members() == ()
+
+
+def test_entry_arcs_split_the_walk_holding_the_blocker():
+    """Near arc, far arc and k partition the walk between viewer and
+    target that holds k; the other walk belongs to neither arc."""
+    for n in range(4, 14):
+        for i in range(n):
+            for j in range(n):
+                for k in range(n):
+                    if len({i, j, k}) < 3:
+                        continue
+                    near, far = (
+                        interval_vertices(n, *arc) for arc in entry_arcs(n, (i, j), k)
+                    )
+                    walk = interval_vertices(n, i, j)
+                    if k not in walk:
+                        walk = interval_vertices(n, j, i)
+                    case = (n, i, j, k)
+                    assert sorted(near + far + [k]) == sorted(walk), case
+                    assert i in near and j in far, case
+                    assert (set(near), set(far)) == naive_entry_arcs(n, (i, j), k), case
 
 
 @st.composite

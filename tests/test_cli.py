@@ -5,6 +5,8 @@ import weakref
 import pytest
 
 from pseudovis import (
+    assignment_to_json,
+    geometric_blockers,
     graph_to_json,
     polygon_to_json,
     random_simple_polygon,
@@ -115,6 +117,15 @@ TRIANGLE = '{"n": 3, "edges": [[0, 1], [1, 2], [2, 0]]}'
 QUAD_EDGES = "[0, 1], [1, 2], [2, 3], [3, 0]"
 
 
+def repeated_pair_case() -> list[str]:
+    """The graph of gen --n 7 --seed 3 and its oracle blockers, led by a
+    second row for (1, 4) that names p1 where the oracle names p0."""
+    p = random_simple_polygon(7, 3)
+    rows = json.loads(assignment_to_json(geometric_blockers(p)))["blockers"]
+    rows.insert(0, {"from": 1, "to": 4, "blocker": 1})
+    return [graph_to_json(visibility_graph(p)), json.dumps({"blockers": rows})]
+
+
 @pytest.mark.parametrize(
     "command, texts",
     [
@@ -132,12 +143,13 @@ QUAD_EDGES = "[0, 1], [1, 2], [2, 3], [3, 0]"
         (["recognize"], ['{"n": 3, "edges": [[0, 1, 2], [1, 2], [2, 0]]}']),
         (["oracle", "visgraph"], ['{"vertices": [[true, 3], [0, 0], [5, 0], [4, 4]]}']),
         (["oracle", "visgraph"], ['{"vertices": [[0, 0], [5, 0], 4]}']),
+        (["check"], repeated_pair_case()),
     ],
     ids=[
         "recognize-list", "oracle-list", "check-graph-list", "check-assignment-list",
         "assignment-row-list", "assignment-string-field", "edge-string", "edge-float",
         "edge-bool", "n-float", "edges-object", "edge-triple", "coordinate-bool",
-        "vertex-int",
+        "vertex-int", "assignment-repeated-pair",
     ],
 )
 def test_malformed_json_is_input_error(tmp_path, capsys, command, texts):
