@@ -28,6 +28,7 @@ from .graph_core import (
     interval_edges,
     json_field,
     json_ints,
+    rows,
     strictly_inside,
 )
 from .vertex_edge import VEGraph, seen_edge_gaps
@@ -184,50 +185,52 @@ def visibility_graph(p: Polygon) -> VisGraph:
     return VisGraph(n, frozenset(edges))
 
 
-@derived_table
-def _exit_table(p: Polygon) -> dict[tuple[int, int], EdgeHit | None]:
-    """First boundary crossing of the ray from k away from a, for every
-    ordered vertex pair (k, a); None when the direction leaves
-    immediately."""
+def _first_exit(p: Polygon, k: int, away: int) -> tuple[int, int, int] | None:
+    """First boundary crossing of the ray from vertex k directed away from
+    vertex ``away``, as (edge, num, den): the ray meets the edge at
+    k + num/den * (k - away), with num, den > 0.  None when the direction
+    leaves the interior cone at k immediately."""
     n = p.n
-    table: dict[tuple[int, int], EdgeHit | None] = {}
-    for k in range(n):
-        o = p.vertices[k]
-        for away in range(n):
-            if away == k:
-                continue
-            d = _sub(o, p.vertices[away])
-            if not _cone_contains(p, k, d):
-                table[(k, away)] = None
-                continue
-            best = None  # (num, den, edge) with t = num/den > 0, den > 0
-            for m in range(n):
-                if m in (k, (k - 1) % n):
-                    continue
-                a = p.vertices[m]
-                b = p.vertices[(m + 1) % n]
-                e = _sub(b, a)
-                den = _cross(d, e)
-                if den == 0:
-                    continue  # parallel, cannot overlap in general position
-                num = _cross(_sub(a, o), e)
-                unum = _cross(_sub(a, o), d)
-                if den < 0:
-                    num, unum, den = -num, -unum, -den
-                if num <= 0:  # crossing behind or at the ray origin
-                    continue
-                if not (0 < unum < den):  # misses the open edge
-                    continue
-                if best is None or num * best[1] < best[0] * den:
-                    best = (num, den, m)
-            if best is None:  # interior direction must cross the boundary
-                raise OracleContradiction(
-                    f"ray from p{k} away from p{away} never exits"
-                )
-            t = Fraction(best[0], best[1])
-            hit = (o[0] + t * d[0], o[1] + t * d[1])
-            table[(k, away)] = EdgeHit(best[2], hit)
-    return table
+    pts = p.vertices
+    ox, oy = pts[k]
+    dx, dy = ox - pts[away][0], oy - pts[away][1]
+    if not _cone_contains(p, k, (dx, dy)):
+        return None
+    best = None
+    for m in range(n):
+        if m == k or m == (k - 1) % n:
+            continue
+        ax, ay = pts[m]
+        bx, by = pts[(m + 1) % n]
+        ex, ey = bx - ax, by - ay
+        den = dx * ey - dy * ex
+        if den == 0:
+            continue  # parallel, cannot overlap in general position
+        rx, ry = ax - ox, ay - oy
+        num = rx * ey - ry * ex
+        unum = rx * dy - ry * dx
+        if den < 0:
+            num, unum, den = -num, -unum, -den
+        if num <= 0 or not 0 < unum < den:
+            continue  # crossing behind the origin, or misses the open edge
+        if best is None or num * best[2] < best[1] * den:
+            best = (m, num, den)
+    if best is None:  # an interior direction must cross the boundary
+        raise OracleContradiction(f"ray from p{k} away from p{away} never exits")
+    return best
+
+
+@derived_table
+def _exit_table(p: Polygon) -> dict[Pair, tuple[int, int, int] | None]:
+    """_first_exit(p, k, a) for every ordered pair (k, a) where a sees k,
+    keyed (k, a); its keys are exactly the ordered visible pairs."""
+    r = rows(visibility_graph(p))
+    return {
+        (k, a): _first_exit(p, k, a)
+        for k in range(p.n)
+        for a in range(p.n)
+        if r[k] >> a & 1
+    }
 
 
 def ray_first_exit(p: Polygon, k: int, away_from: int) -> EdgeHit | None:
@@ -239,7 +242,13 @@ def ray_first_exit(p: Polygon, k: int, away_from: int) -> EdgeHit | None:
     """
     if not visibility_graph(p).visible(away_from, k):
         raise ValueError(f"vertex {away_from} does not see vertex {k}")
-    return _exit_table(p)[(k, away_from)]
+    hit = _exit_table(p)[(k, away_from)]
+    if hit is None:
+        return None
+    edge, num, den = hit
+    t = Fraction(num, den)
+    (ox, oy), (ax, ay) = p.vertices[k], p.vertices[away_from]
+    return EdgeHit(edge, (ox + t * (ox - ax), oy + t * (oy - ay)))
 
 
 def _is_witness(p: Polygon, i: int, w: int, m: int) -> bool:
@@ -253,7 +262,7 @@ def _is_witness(p: Polygon, i: int, w: int, m: int) -> bool:
     if w in ends:
         return True
     hit = _exit_table(p)[(w, i)]
-    return hit is not None and hit.edge == m
+    return hit is not None and hit[0] == m
 
 
 def sees_edge(p: Polygon, i: int, m: int) -> tuple[bool, list[int]]:
@@ -270,12 +279,24 @@ def sees_edge(p: Polygon, i: int, m: int) -> tuple[bool, list[int]]:
 
 @derived_table
 def ve_graph_geo(p: Polygon) -> VEGraph:
-    """Ground-truth vertex-edge visibility relation."""
+    """Ground-truth vertex-edge visibility relation: sees_edge for every
+    (vertex, edge), with the witnesses counted in one pass over the
+    visible pairs.  A vertex w that i sees witnesses its two incident
+    edges and the edge its ray away from i exits through (never one of
+    those two); the edges incident to i have two witnesses by rule."""
     n = p.n
-    rows = []
-    for i in range(n):
-        rows.append(frozenset(m for m in range(n) if sees_edge(p, i, m)[0]))
-    return VEGraph(n, tuple(rows))
+    counts = [[0] * n for _ in range(n)]
+    for (w, i), hit in _exit_table(p).items():
+        row = counts[i]
+        row[w] += 1
+        row[w - 1] += 1
+        if hit is not None:
+            row[hit[0]] += 1
+    for i, row in enumerate(counts):
+        row[i] = row[i - 1] = 2
+    return VEGraph(
+        n, tuple(frozenset(m for m, c in enumerate(row) if c >= 2) for row in counts)
+    )
 
 
 def designated_blocker_geo(p: Polygon, pair: Pair) -> int:
@@ -306,10 +327,34 @@ def designated_blocker_geo(p: Polygon, pair: Pair) -> int:
     return blocker
 
 
+@derived_table
+def _designated_blockers(p: Polygon) -> dict[Pair, int | OracleContradiction]:
+    """designated_blocker_geo's outcome for every ordered invisible pair:
+    the blocker, or the contradiction it raised, kept without its
+    traceback so the table holds no frame."""
+    outcomes: dict[Pair, int | OracleContradiction] = {}
+    for pair in all_candidates(visibility_graph(p)):
+        try:
+            outcomes[pair] = designated_blocker_geo(p, pair)
+        except OracleContradiction as exc:
+            outcomes[pair] = exc.with_traceback(None)
+    return outcomes
+
+
 def geometric_blockers(p: Polygon) -> dict[Pair, int]:
-    """Designated blocker of every ordered invisible pair."""
-    g = visibility_graph(p)
-    return {pair: designated_blocker_geo(p, pair) for pair in all_candidates(g)}
+    """Designated blocker of every ordered invisible pair; raises the
+    first OracleContradiction."""
+    outcomes = _designated_blockers(p)
+    for outcome in outcomes.values():
+        if isinstance(outcome, OracleContradiction):
+            raise outcome.with_traceback(None)
+    return dict(outcomes)
+
+
+def _on_walk(n: int, a: int, b: int, m: int) -> bool:
+    """True iff edge m lies on the counterclockwise walk from a to b
+    (m in interval_edges(n, a, b))."""
+    return (m - a) % n < (b - a) % n
 
 
 def check_blocker_uniqueness(p: Polygon) -> list[str]:
@@ -326,21 +371,21 @@ def check_blocker_uniqueness(p: Polygon) -> list[str]:
     g = visibility_graph(p)
     table = _exit_table(p)
     n = p.n
+    # rays[i]: (v, exit edge) for each v that i sees whose ray away from i
+    # exits somewhere, in increasing v.
+    rays: list[list[Pair]] = [[] for _ in range(n)]
+    for (v, i), hit in table.items():
+        if hit is not None:
+            rays[i].append((v, hit[0]))
     failures = []
-    for pair in all_candidates(g):
-        i, j = pair
-        try:
-            algo = designated_blocker_geo(p, pair)
-        except OracleContradiction as exc:
-            failures.append(f"pair ({i},{j}): {exc}")
+    for (i, j), algo in _designated_blockers(p).items():
+        if isinstance(algo, OracleContradiction):
+            failures.append(f"pair ({i},{j}): {algo}")
             continue
         by_ray = []
-        for v in range(n):
-            if v in (i, j) or not g.visible(i, v):
-                continue
-            hit = table[(v, i)]
+        for v, m in rays[i]:
             away = (j, i) if strictly_inside(n, i, j, v) else (i, j)
-            if hit is not None and hit.edge in interval_edges(n, *away):
+            if _on_walk(n, *away, m):
                 by_ray.append(v)
         if by_ray != [algo]:
             failures.append(
@@ -352,8 +397,7 @@ def check_blocker_uniqueness(p: Polygon) -> list[str]:
             # between the first vertex the viewer sees walking clockwise
             # from the target and the blocker itself.
             hit = table[(algo, i)]
-            narrow = set(interval_edges(n, first_seen(g, i, j, -1), algo))
-            if hit is None or hit.edge not in narrow:
+            if hit is None or not _on_walk(n, first_seen(g, i, j, -1), algo, hit[0]):
                 failures.append(
                     f"pair ({i},{j}): exit conventions disagree at p{algo}"
                 )

@@ -40,12 +40,12 @@ def ccw_dist(n: int, a: int, b: int) -> int:
 
 def in_interval(n: int, a: int, b: int, x: int) -> bool:
     """True iff x lies on the inclusive counterclockwise walk from a to b."""
-    return ccw_dist(n, a, x) <= ccw_dist(n, a, b)
+    return (x - a) % n <= (b - a) % n
 
 
 def strictly_inside(n: int, a: int, b: int, x: int) -> bool:
     """True iff x lies on the walk from a to b excluding both endpoints."""
-    return 0 < ccw_dist(n, a, x) < ccw_dist(n, a, b)
+    return 0 < (x - a) % n < (b - a) % n
 
 
 def interval_vertices(n: int, i: int, j: int) -> list[int]:

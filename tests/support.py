@@ -8,8 +8,16 @@ optimized paths.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
-from pseudovis import CandidateSet, Polygon, VisGraph, validate_graph, validate_polygon
+from pseudovis import (
+    CandidateSet,
+    EdgeHit,
+    Polygon,
+    VisGraph,
+    validate_graph,
+    validate_polygon,
+)
 from pseudovis.blockers import all_candidates
 from pseudovis.conditions import (
     PinchedQuadruple,
@@ -141,6 +149,50 @@ def brute_force_accepts(g: VisGraph) -> bool:
         return any(extend(idx + 1, {**a, p: v}) for v in cand[p].members())
 
     return extend(0, {})
+
+
+def _inside(p: Polygon, x: Fraction, y: Fraction) -> bool:
+    """Even-odd crossing count of a horizontal ray from (x, y); the point
+    must not lie on the boundary."""
+    inside = False
+    n = p.n
+    for m in range(n):
+        (ax, ay), (bx, by) = p.vertices[m], p.vertices[(m + 1) % n]
+        if (ay > y) != (by > y) and x < ax + (y - ay) * Fraction(bx - ax, by - ay):
+            inside = not inside
+    return inside
+
+
+def naive_first_exit(p: Polygon, k: int, away: int) -> EdgeHit | None:
+    """Nearest proper crossing of the ray from vertex k directed away from
+    vertex ``away`` with any edge not incident to k, solved in Fractions.
+
+    None when the ray starts outside: its nearest crossing is missing or
+    the midpoint between k and that crossing is outside the polygon (the
+    open segment between them meets no boundary)."""
+    n = p.n
+    ox, oy = p.vertices[k]
+    dx, dy = ox - p.vertices[away][0], oy - p.vertices[away][1]
+    crossings = []
+    for m in range(n):
+        if k in (m, (m + 1) % n):
+            continue
+        (ax, ay), (bx, by) = p.vertices[m], p.vertices[(m + 1) % n]
+        ex, ey = bx - ax, by - ay
+        den = dx * ey - dy * ex
+        if den == 0:
+            continue
+        # o + t d = a + u e
+        t = Fraction((ax - ox) * ey - (ay - oy) * ex, den)
+        u = Fraction((ax - ox) * dy - (ay - oy) * dx, den)
+        if t > 0 and 0 < u < 1:
+            crossings.append((t, m))
+    if not crossings:
+        return None
+    t, m = min(crossings)
+    if not _inside(p, ox + t / 2 * dx, oy + t / 2 * dy):
+        return None
+    return EdgeHit(m, (ox + t * dx, oy + t * dy))
 
 
 def reflect_polygon(p: Polygon) -> Polygon:

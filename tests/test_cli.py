@@ -14,6 +14,7 @@ from pseudovis import (
     visibility_graph,
 )
 from pseudovis.cli import check_polygon, main
+from pseudovis.geometry import _designated_blockers, _exit_table
 from pseudovis.graph_core import rows
 from conftest import DENT5_VERTICES
 from support import complete_graph, cycle_graph
@@ -166,6 +167,7 @@ def test_check_polygon_keeps_no_reference():
     assert all(check_polygon(p).values())
     g = visibility_graph(p)
     assert rows in g.tables  # the bitset rows are freed with the graph too
+    assert _designated_blockers in p.tables and _exit_table in p.tables
     polygon, graph = weakref.ref(p), weakref.ref(g)
     del p, g
     gc.collect()

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from pseudovis import (
     DegenerateInput,
     NotInvisible,
+    OracleContradiction,
     assignment_to_json,
     build_ve,
     check_blocker_uniqueness,
@@ -16,6 +17,7 @@ from pseudovis import (
     find_assignment,
     geometric_blockers,
     graph_to_json,
+    invisible_pairs,
     polygon_from_json,
     polygon_to_json,
     random_simple_polygon,
@@ -28,7 +30,8 @@ from pseudovis import (
     ve_to_json,
     visibility_graph,
 )
-from support import reflect_polygon
+from pseudovis import geometry
+from support import naive_first_exit, reflect_polygon
 
 
 def test_sees_vertex_convex(unit_square):
@@ -78,6 +81,51 @@ def test_ray_exact_hits(dent5_poly):
 
 def test_ray_immediate_exit(unit_square):
     assert ray_first_exit(unit_square, 2, 0) is None
+
+
+def test_ray_first_exit_matches_restatement(sample_polygons):
+    for p in sample_polygons:
+        g = visibility_graph(p)
+        for k in range(p.n):
+            for away in range(p.n):
+                if g.visible(away, k):
+                    assert ray_first_exit(p, k, away) == naive_first_exit(p, k, away)
+
+
+def test_ve_graph_matches_sees_edge():
+    for n in range(4, 17):
+        for seed in range(3):
+            p = random_simple_polygon(n, 1000 * n + seed)
+            ve = ve_graph_geo(p)
+            for i in range(n):
+                for m in range(n):
+                    assert ve.sees(i, m) == sees_edge(p, i, m)[0], (n, seed, i, m)
+
+
+def test_each_designated_blocker_derived_once(monkeypatch):
+    calls = []
+
+    def counted(p, pair):
+        calls.append(pair)
+        return designated_blocker_geo(p, pair)
+
+    monkeypatch.setattr(geometry, "designated_blocker_geo", counted)
+    p = random_simple_polygon(10, 17)
+    assert not check_blocker_uniqueness(p)
+    geometric_blockers(p)
+    assert sorted(calls) == invisible_pairs(visibility_graph(p))
+
+
+def test_designated_contradiction_reaches_both_readers(monkeypatch, dent5_poly):
+    def contradicts(p, pair):
+        if pair == (1, 3):
+            raise OracleContradiction("forced")
+        return designated_blocker_geo(p, pair)
+
+    monkeypatch.setattr(geometry, "designated_blocker_geo", contradicts)
+    assert check_blocker_uniqueness(dent5_poly) == ["pair (1,3): forced"]
+    with pytest.raises(OracleContradiction, match="forced"):
+        geometric_blockers(dent5_poly)
 
 
 def test_sees_edge_witnesses(dent5_poly):

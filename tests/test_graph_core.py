@@ -19,8 +19,19 @@ from pseudovis import (
     validate_graph,
     visibility_graph,
 )
-from pseudovis.graph_core import arc_mask, rows
+from pseudovis.geometry import _designated_blockers
+from pseudovis.graph_core import arc_mask, in_interval, rows, strictly_inside
 from support import complete_graph, cycle_graph
+
+
+def test_interval_predicates_match_walks():
+    for n in range(3, 9):
+        for a in range(n):
+            for b in range(n):
+                walk = interval_vertices(n, a, b)
+                for x in range(n):
+                    assert in_interval(n, a, b, x) == (x in walk)
+                    assert strictly_inside(n, a, b, x) == (x in walk[1:-1])
 
 
 def test_interval_basic():
@@ -146,9 +157,10 @@ def test_inputs_pickle_with_derived_tables(dent5_poly):
     g = visibility_graph(dent5_poly)
     all_candidates(g)
     blockers = geometric_blockers(dent5_poly)
-    assert dent5_poly.tables and rows in g.tables
+    assert _designated_blockers in dent5_poly.tables and rows in g.tables
     restored = pickle.loads(pickle.dumps(dent5_poly))
     assert restored == dent5_poly and geometric_blockers(restored) == blockers
+    assert restored.tables[_designated_blockers] == blockers
     assert rows(visibility_graph(restored)) == rows(g)
 
 
