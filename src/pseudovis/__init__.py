@@ -58,7 +58,6 @@ from .geometry import (
     visibility_graph,
 )
 from .graph_core import (
-    BoundaryInterval,
     VisGraph,
     graph_from_json,
     graph_to_json,

@@ -16,6 +16,7 @@ from .graph_core import (
     Pair,
     VisGraph,
     arc_mask,
+    canonical_json,
     derived_table,
     interval_vertices,
     invisible_pairs,
@@ -125,7 +126,7 @@ def assignment_to_dict(a: Assignment) -> dict:
 
 
 def assignment_to_json(a: Assignment) -> str:
-    return json.dumps(assignment_to_dict(a), sort_keys=True, indent=2) + "\n"
+    return canonical_json(assignment_to_dict(a))
 
 
 def assignment_from_json(text: str) -> Assignment:

@@ -21,17 +21,13 @@ from .errors import (
     PseudovisError,
     SearchBudgetExceeded,
 )
-from .graph_core import graph_from_json, graph_to_json
+from .graph_core import canonical_json, graph_from_json, graph_to_json
 from .vertex_edge import build_ve, check_ve_characterization, ve_to_json
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
-
-
-def _dump(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 def _read(path: str) -> str:
@@ -71,7 +67,7 @@ def cmd_check(args) -> int:
     report = recognizer.verify(g, a)
     violations = [violation_to_dict(v) for v in report.violations]
     obj = {"ok": report.ok, "problems": list(report.problems), "violations": violations}
-    sys.stdout.write(_dump(obj))
+    sys.stdout.write(canonical_json(obj))
     return EXIT_PASS if report.ok else EXIT_FAIL
 
 
@@ -96,7 +92,7 @@ def cmd_oracle(args) -> int:
         return EXIT_PASS
     checks = _lemma_report(p)
     ok = not any(checks.values())
-    sys.stdout.write(_dump({"checks": checks, "ok": ok}))
+    sys.stdout.write(canonical_json({"checks": checks, "ok": ok}))
     return EXIT_PASS if ok else EXIT_FAIL
 
 
@@ -188,7 +184,7 @@ def cmd_corpus(args) -> int:
         sys.stderr.write("corpus: need 3 <= n_lo <= n_hi and count >= 1\n")
         return EXIT_INPUT
     report = run_corpus(args.count, n_lo, n_hi, args.seed)
-    sys.stdout.write(_dump(report))
+    sys.stdout.write(canonical_json(report))
     return EXIT_PASS if not report["failures"] else EXIT_FAIL
 
 

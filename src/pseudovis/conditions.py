@@ -28,8 +28,6 @@ from .graph_core import (
     interval_vertices,
 )
 
-CONDITIONS = ("NC1a", "NC1b", "NC2", "NC3case1", "NC3case2", "NC4", "NC5")
-
 
 @dataclass(frozen=True)
 class Violation:

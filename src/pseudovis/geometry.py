@@ -24,6 +24,7 @@ from .errors import (
 from .graph_core import (
     Pair,
     VisGraph,
+    canonical_json,
     derived_table,
     interval_edges,
     json_field,
@@ -34,6 +35,8 @@ from .graph_core import (
 from .vertex_edge import VEGraph, seen_edge_gaps
 
 Point = tuple[int, int]
+
+MAX_ATTEMPTS = 64  # point samples random_simple_polygon draws before giving up
 
 
 @dataclass(frozen=True)
@@ -319,7 +322,7 @@ def designated_blocker_geo(p: Polygon, pair: Pair) -> int:
         raise OracleContradiction(
             f"viewer {i} sees {len(seen)} edges between p{k} and p{k2}, expected 1"
         )
-    blocker = k if seen[0] in interval_edges(n, j, k2) else k2
+    blocker = k if _on_walk(n, j, k2, seen[0]) else k2
     if not all_candidates(g)[pair].contains(blocker):
         raise OracleContradiction(
             f"geometric blocker p{blocker} of ({i},{j}) is not a candidate"
@@ -481,12 +484,13 @@ def _collinear_triple(pts: list[Point]) -> tuple[int, int, int] | None:
     return None
 
 
-def _uncross_tour(pts: list[Point], swap_cap: int) -> bool:
+def _uncross_tour(pts: list[Point]) -> bool:
     """Repeatedly reverse tour sections to remove crossing edge pairs.
 
-    Each swap strictly shortens the tour, so this terminates; the cap is
-    a defensive bound only.  Returns False if the cap is hit.
+    Each swap strictly shortens the tour, so this terminates; the cap of
+    50 n^2 swaps is a defensive bound only.  Returns False if it is hit.
     """
+    swap_cap = 50 * len(pts) ** 2
     swaps = 0
     while True:
         crossing = _crossing_edges(pts)
@@ -499,7 +503,7 @@ def _uncross_tour(pts: list[Point], swap_cap: int) -> bool:
             return False
 
 
-def random_simple_polygon(n: int, seed: int, max_attempts: int = 64) -> Polygon:
+def random_simple_polygon(n: int, seed: int) -> Polygon:
     """Deterministic random simple polygon in the grid [0, 4n]^2.
 
     Samples n distinct grid points (resampling until no three are
@@ -511,25 +515,24 @@ def random_simple_polygon(n: int, seed: int, max_attempts: int = 64) -> Polygon:
         raise ValueError(f"need n >= 3, got {n}")
     rng = random.Random(f"{n}:{seed}")
     width = 4 * n + 1
-    for _ in range(max_attempts):
+    for _ in range(MAX_ATTEMPTS):
         cells = rng.sample(range(width * width), n)
         pts = [(c % width, c // width) for c in cells]
         if _collinear_triple(pts) is not None:
             continue
         rng.shuffle(pts)
-        if not _uncross_tour(pts, swap_cap=50 * n * n):
+        if not _uncross_tour(pts):
             continue
         if signed_area2(tuple(pts)) < 0:
             pts.reverse()
         return validate_polygon(pts)
     raise GenerationBudgetExceeded(
-        f"no valid polygon for n={n} seed={seed} in {max_attempts} attempts"
+        f"no valid polygon for n={n} seed={seed} in {MAX_ATTEMPTS} attempts"
     )
 
 
 def polygon_to_json(p: Polygon) -> str:
-    obj = {"vertices": [list(v) for v in p.vertices]}
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    return canonical_json({"vertices": [list(v) for v in p.vertices]})
 
 
 def polygon_from_json(text: str) -> Polygon:

@@ -93,14 +93,6 @@ class VisGraph:
         return ((i, j) if i < j else (j, i)) in self.edges
 
 
-@dataclass(frozen=True)
-class BoundaryInterval:
-    """Inclusive counterclockwise walk from start to end."""
-
-    start: int
-    end: int
-
-
 def validate_graph(n: int, pairs: Iterable[Iterable[int]]) -> VisGraph:
     """Build a VisGraph from an unordered pair list, enforcing the invariants.
 
@@ -145,9 +137,14 @@ def invisible_pairs(g: VisGraph) -> list[Pair]:
     ]
 
 
-def graph_to_json(g: VisGraph) -> str:
-    obj = {"n": g.n, "edges": sorted(list(e) for e in g.edges)}
+def canonical_json(obj) -> str:
+    """The one JSON text form of every document the package writes:
+    sorted keys, two-space indent, trailing newline."""
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def graph_to_json(g: VisGraph) -> str:
+    return canonical_json({"n": g.n, "edges": sorted(list(e) for e in g.edges)})
 
 
 def json_field(obj, key: str, kind: type):

@@ -11,7 +11,6 @@ checked on every closure.  Rejection comes with a re-checkable certificate.
 
 from __future__ import annotations
 
-import json
 from collections import defaultdict
 from dataclasses import dataclass
 
@@ -25,7 +24,7 @@ from .conditions import (
     violation_to_dict,
 )
 from .errors import SearchBudgetExceeded
-from .graph_core import Pair, VisGraph
+from .graph_core import Pair, VisGraph, canonical_json
 
 DEFAULT_NODE_BUDGET = 1_000_000
 
@@ -192,4 +191,4 @@ def verdict_to_json(v: Verdict, extra: dict | None = None) -> str:
         }
     if extra:
         obj.update(extra)
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    return canonical_json(obj)

@@ -1,12 +1,10 @@
 """Vertex-edge visibility implied by a blocker assignment, and the
 characterization check for such relations.
 
-A vertex always sees its two incident boundary edges.  For any other
-edge, visibility fails exactly when some assignment entry of that viewer
-puts its blocker on one side of the edge and its target on the other:
-one of them on the arc from the viewer forward to the edge's near
-endpoint, the other on the arc from the edge's far endpoint back to the
-viewer.
+An entry (i, t) -> b hides from viewer i exactly the boundary edges
+between b and t on the walk that avoids i; a vertex sees every edge that
+none of its entries hides.  Its two incident edges lie on no such walk,
+so a vertex always sees them.
 """
 
 from __future__ import annotations
@@ -17,17 +15,18 @@ from dataclasses import dataclass
 from .blockers import Assignment, CandidateSet, all_candidates
 from .errors import InvalidAssignment, MalformedInput, VertexOutsideInterval
 from .graph_core import (
-    BoundaryInterval,
     Pair,
     VisGraph,
+    arc_mask,
+    canonical_json,
     ccw_dist,
-    in_interval,
     interval_edges,
     interval_vertices,
     json_field,
     json_ints,
     strictly_inside,
 )
+from .recognizer import verify
 
 
 @dataclass(frozen=True)
@@ -40,9 +39,6 @@ class VEGraph:
 
     def sees(self, i: int, m: int) -> bool:
         return m in self.rows[i]
-
-    def row(self, i: int) -> frozenset[int]:
-        return self.rows[i]
 
 
 @dataclass(frozen=True)
@@ -58,11 +54,10 @@ def build_ve(g: VisGraph, a: Assignment, check: bool = True) -> VEGraph:
     """Vertex-edge relation determined by (graph, assignment).
 
     With check=True the assignment must verify (total, candidate-drawn,
-    NC-clean); InvalidAssignment otherwise.
+    NC-clean); InvalidAssignment otherwise.  With check=False each
+    blocker must still differ from its viewer and target.
     """
     if check:
-        from .recognizer import verify
-
         report = verify(g, a)
         if not report.ok:
             raise InvalidAssignment(
@@ -70,66 +65,50 @@ def build_ve(g: VisGraph, a: Assignment, check: bool = True) -> VEGraph:
                 or "; ".join(v.narrative for v in report.violations)
             )
     n = g.n
-    by_viewer: dict[int, list[tuple[int, int]]] = {i: [] for i in range(n)}
+    hidden = [0] * n  # bit m of hidden[i]: some entry of viewer i hides edge m
     for (i, t), b in a.items():
-        by_viewer[i].append((t, b))
-    rows = []
-    for i in range(n):
-        start = (i + 1) % n
-        row = set()
-        for m in range(n):
-            if m == i or m == (i - 1) % n:
-                row.add(m)  # incident edges are always seen
-                continue
-            # Neither blocker nor target is the viewer, so each lies on
-            # exactly one of the two arcs the edge leaves, start..m and
-            # m+1..i-1: the edge is hidden iff they lie on different arcs.
-            if all(
-                in_interval(n, start, m, b) == in_interval(n, start, m, t)
-                for t, b in by_viewer[i]
-            ):
-                row.add(m)
-        rows.append(frozenset(row))
-    return VEGraph(n, tuple(rows))
+        # edges lo..hi-1, with blocker and target taken counterclockwise from i
+        lo, hi = (b, t) if ccw_dist(n, i, b) < ccw_dist(n, i, t) else (t, b)
+        hidden[i] |= arc_mask(n, lo, (hi - 1) % n)
+    return VEGraph(
+        n, tuple(frozenset(m for m in range(n) if not h >> m & 1) for h in hidden)
+    )
 
 
 def is_articulation(
     g: VisGraph,
     candidates: dict[Pair, CandidateSet],
-    interval: BoundaryInterval,
+    start: int,
+    end: int,
     v: int,
 ) -> bool:
     """True iff v is a candidate blocker for some invisible pair that
-    straddles it within the interval (viewer before v, target after)."""
+    straddles it within the walk from start to end (viewer before v,
+    target after)."""
     n = g.n
-    if not strictly_inside(n, interval.start, interval.end, v):
-        raise VertexOutsideInterval(
-            f"p{v} is not strictly inside the walk {interval.start}..{interval.end}"
-        )
-    for s in interval_vertices(n, interval.start, (v - 1) % n):
-        for t in interval_vertices(n, (v + 1) % n, interval.end):
-            if s == t or g.visible(s, t):
-                continue
+    if not strictly_inside(n, start, end, v):
+        raise VertexOutsideInterval(f"p{v} is not strictly inside the walk {start}..{end}")
+    for s in interval_vertices(n, start, (v - 1) % n):
+        for t in interval_vertices(n, (v + 1) % n, end):
             cs = candidates.get((s, t))
             if cs is not None and cs.contains(v):
                 return True
     return False
 
 
-def articulation_by_incidence(ve: VEGraph, interval: BoundaryInterval, v: int) -> bool:
-    """Cut-vertex cross-check on the incidence structure of the interval.
+def articulation_by_incidence(ve: VEGraph, start: int, end: int, v: int) -> bool:
+    """Cut-vertex cross-check on the incidence structure of the walk from
+    start to end.
 
-    Nodes are the interval's vertices and boundary edges, with an arc for
+    Nodes are the walk's vertices and boundary edges, with an arc for
     every sees(vertex, edge) relation between them; v is an articulation
     point iff removing its node disconnects the rest.
     """
     n = ve.n
-    if not strictly_inside(n, interval.start, interval.end, v):
-        raise VertexOutsideInterval(
-            f"p{v} is not strictly inside the walk {interval.start}..{interval.end}"
-        )
-    verts = interval_vertices(n, interval.start, interval.end)
-    edges = interval_edges(n, interval.start, interval.end)
+    if not strictly_inside(n, start, end, v):
+        raise VertexOutsideInterval(f"p{v} is not strictly inside the walk {start}..{end}")
+    verts = interval_vertices(n, start, end)
+    edges = interval_edges(n, start, end)
     nodes = [("v", x) for x in verts if x != v] + [("e", m) for m in edges]
     adj: dict[tuple[str, int], list[tuple[str, int]]] = {x: [] for x in nodes}
     for x in verts:
@@ -156,7 +135,7 @@ def seen_edge_gaps(ve: VEGraph, k: int) -> list[tuple[int, int]]:
     """Maximal runs of unseen edges in row k, each reported as the pair
     (seen edge before the run, seen edge after the run) in cyclic order."""
     n = ve.n
-    seen = sorted(ve.row(k))
+    seen = sorted(ve.rows[k])
     if len(seen) == n:
         return []
     gaps = []
@@ -190,20 +169,17 @@ def check_ve_characterization(
             if ccw_dist(n, j, i) == 1:
                 continue  # bounding edges share a vertex
             near = ve.sees((i + 1) % n, j) and is_articulation(
-                g, cand, BoundaryInterval(k, j), (i + 1) % n
+                g, cand, k, j, (i + 1) % n
             )
-            far = ve.sees(j, i) and is_articulation(
-                g, cand, BoundaryInterval((i + 1) % n, k), j
-            )
+            far = ve.sees(j, i) and is_articulation(g, cand, (i + 1) % n, k, j)
             if near == far:
                 failures.append(CharacterizationFailure(k, i, j, near, far))
     return failures
 
 
 def ve_to_json(ve: VEGraph) -> str:
-    entries = sorted((i, m) for i in range(ve.n) for m in ve.row(i))
-    obj = {"n": ve.n, "sees": [list(e) for e in entries]}
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    entries = sorted((i, m) for i in range(ve.n) for m in ve.rows[i])
+    return canonical_json({"n": ve.n, "sees": [list(e) for e in entries]})
 
 
 def ve_from_json(text: str) -> VEGraph:

@@ -14,6 +14,7 @@ from pseudovis import (
     CandidateSet,
     EdgeHit,
     Polygon,
+    VEGraph,
     VisGraph,
     validate_graph,
     validate_polygon,
@@ -78,6 +79,25 @@ def naive_entry_arcs(n: int, pair, k: int) -> tuple[set[int], set[int]]:
     if in_interval(n, i, j, k):
         return walk(i, k), walk(k, j)
     return walk(k, i), walk(j, k)
+
+
+def naive_build_ve(g: VisGraph, a: dict) -> VEGraph:
+    """Vertex-edge relation of an assignment, edge by edge: entry
+    (i, t) -> b hides edge m from viewer i iff both ends of m lie on the
+    walk between b and t that avoids i."""
+    n = g.n
+
+    def hides(i, t, b, m):
+        lo, hi = (t, b) if in_interval(n, b, t, i) else (b, t)
+        return in_interval(n, lo, hi, m) and in_interval(n, lo, hi, (m + 1) % n)
+
+    return VEGraph(n, tuple(
+        frozenset(
+            m for m in range(n)
+            if not any(v == i and hides(i, t, b, m) for (v, t), b in a.items())
+        )
+        for i in range(n)
+    ))
 
 
 def naive_separable_pairs(g: VisGraph) -> list[SeparablePair]:

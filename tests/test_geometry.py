@@ -159,8 +159,8 @@ def test_geometric_blockers_convex(unit_square):
 
 def test_ve_rows(dent5_poly):
     ve = ve_graph_geo(dent5_poly)
-    assert sorted(ve.row(1)) == [0, 1, 4]
-    assert sorted(ve.row(3)) == [0, 2, 3, 4]
+    assert sorted(ve.rows[1]) == [0, 1, 4]
+    assert sorted(ve.rows[3]) == [0, 2, 3, 4]
 
 
 def test_generator_deterministic():

@@ -1,7 +1,9 @@
+import itertools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pseudovis import (
-    BoundaryInterval,
     InvalidAssignment,
     MalformedInput,
     VEGraph,
@@ -19,6 +21,7 @@ from pseudovis import (
     ve_to_json,
     visibility_graph,
 )
+from support import cycle_graph, naive_build_ve
 
 
 def test_k5_all_true(k5):
@@ -29,8 +32,8 @@ def test_k5_all_true(k5):
 def test_dent5_rows(dent5_graph, dent5_poly):
     a = geometric_blockers(dent5_poly)
     ve = build_ve(dent5_graph, a)
-    assert sorted(ve.row(1)) == [0, 1, 4]
-    assert sorted(ve.row(3)) == [0, 2, 3, 4]
+    assert sorted(ve.rows[1]) == [0, 1, 4]
+    assert sorted(ve.rows[3]) == [0, 2, 3, 4]
 
 
 def test_matches_geometric_relation(dent5_graph, dent5_poly, sample_polygons):
@@ -49,7 +52,7 @@ def test_incident_edges_always_seen(sample_polygons):
         n = g.n
         for i in range(n):
             assert ve.sees(i, i) and ve.sees(i, (i - 1) % n)
-            assert len(ve.row(i)) >= 2
+            assert len(ve.rows[i]) >= 2
 
 
 def test_edge_vertex_echo(sample_polygons):
@@ -70,6 +73,36 @@ def test_edge_vertex_echo(sample_polygons):
                     assert ve.sees(i, before) or ve.sees(i, after)
 
 
+def test_build_ve_single_entries_match_restatement():
+    # build_ve reads only g.n when check=False, so one cycle per n serves
+    for n in range(3, 11):
+        g = cycle_graph(n)
+        for i, t, b in itertools.permutations(range(n), 3):
+            a = {(i, t): b}
+            assert build_ve(g, a, check=False) == naive_build_ve(g, a), a
+
+
+@st.composite
+def partial_assignments(draw):
+    # Any entries at all, several per viewer, each with a blocker distinct
+    # from its viewer and target; no graph constrains them.
+    n = draw(st.integers(3, 14))
+    vertex = st.integers(0, n - 1)
+    pairs = draw(st.sets(st.tuples(vertex, vertex).filter(lambda p: p[0] != p[1])))
+    return n, {
+        p: draw(st.sampled_from([b for b in range(n) if b not in p]))
+        for p in sorted(pairs)
+    }
+
+
+@settings(max_examples=200)
+@given(partial_assignments())
+def test_build_ve_matches_restatement(na):
+    n, a = na
+    g = cycle_graph(n)
+    assert build_ve(g, a, check=False) == naive_build_ve(g, a)
+
+
 def test_invalid_assignment_rejected(dent5_graph):
     with pytest.raises(InvalidAssignment):
         build_ve(dent5_graph, {(1, 3): 2})
@@ -77,10 +110,12 @@ def test_invalid_assignment_rejected(dent5_graph):
 
 def test_is_articulation_examples(dent5_graph, k5):
     cand = all_candidates(dent5_graph)
-    assert is_articulation(dent5_graph, cand, BoundaryInterval(1, 4), 2)
+    assert is_articulation(dent5_graph, cand, 1, 4, 2)
     with pytest.raises(VertexOutsideInterval):
-        is_articulation(dent5_graph, cand, BoundaryInterval(1, 4), 1)
-    assert not is_articulation(k5, all_candidates(k5), BoundaryInterval(0, 3), 1)
+        is_articulation(dent5_graph, cand, 1, 4, 1)
+    with pytest.raises(VertexOutsideInterval):
+        articulation_by_incidence(build_ve(dent5_graph, {}, check=False), 1, 4, 4)
+    assert not is_articulation(k5, all_candidates(k5), 0, 3, 1)
 
 
 def test_gap_enumeration(dent5_graph, dent5_poly):
@@ -119,14 +154,12 @@ def test_articulation_cross_check(sample_polygons):
                 if (i - j) % n == 1:
                     continue
                 if ve.sees((i + 1) % n, j):
-                    left = BoundaryInterval(k, j)
-                    assert is_articulation(g, cand, left, (i + 1) % n) == \
-                        articulation_by_incidence(ve, left, (i + 1) % n)
+                    assert is_articulation(g, cand, k, j, (i + 1) % n) == \
+                        articulation_by_incidence(ve, k, j, (i + 1) % n)
                     checked += 1
                 if ve.sees(j, i):
-                    right = BoundaryInterval((i + 1) % n, k)
-                    assert is_articulation(g, cand, right, j) == \
-                        articulation_by_incidence(ve, right, j)
+                    assert is_articulation(g, cand, (i + 1) % n, k, j) == \
+                        articulation_by_incidence(ve, (i + 1) % n, k, j)
                     checked += 1
     assert checked > 0
 
