@@ -19,7 +19,6 @@ from .graph_core import (
     canonical_json,
     derived_table,
     interval_vertices,
-    invisible_pairs,
     json_field,
     rows,
     strictly_inside,
@@ -67,17 +66,6 @@ def entry_arcs(n: int, pair: Pair, k: int) -> tuple[Pair, Pair]:
     return ((k + 1) % n, i), (j, (k - 1) % n)
 
 
-def _arc_pair_visible(g: VisGraph, a: Pair, b: Pair) -> bool:
-    """True if any vertex of the walk a[0]..a[1] sees any vertex of the
-    walk b[0]..b[1].  It scans b, on the whole the shorter (far) arc, in
-    a plain loop, which is faster here than any() over a generator."""
-    r, mask = rows(g), arc_mask(g.n, *a)
-    for s in interval_vertices(g.n, *b):
-        if r[s] & mask:
-            return True
-    return False
-
-
 def first_seen(g: VisGraph, viewer: int, target: int, step: int) -> int:
     """First vertex the viewer sees walking from the target, one step of
     -1 (clockwise) or +1 (counterclockwise) at a time.  The viewer sees
@@ -90,21 +78,12 @@ def first_seen(g: VisGraph, viewer: int, target: int, step: int) -> int:
 
 
 def candidate_blockers(g: VisGraph, pair: Pair) -> CandidateSet:
-    """Compute the candidate set of an ordered invisible pair.
-
-    Clockwise side: walk j-1, j-2, ... until the first vertex k that i
-    sees; k qualifies unless some visible pair joins the near and far
-    arcs of the entry pair -> k (entry_arcs).  The counterclockwise side
-    is symmetric.
-    """
-    i, j = pair
-    if i == j or g.visible(i, j):
-        raise NotInvisible(f"({i},{j}) is not an invisible pair")
-    cw, ccw = [
-        None if _arc_pair_visible(g, *entry_arcs(g.n, pair, k)) else k
-        for k in (first_seen(g, i, j, -1), first_seen(g, i, j, 1))
-    ]
-    return CandidateSet(cw, ccw)
+    """The candidate set of an ordered invisible pair, read from the
+    graph's candidate table (all_candidates)."""
+    cs = all_candidates(g).get(pair)
+    if cs is None:
+        raise NotInvisible(f"({pair[0]},{pair[1]}) is not an invisible pair")
+    return cs
 
 
 @derived_table
@@ -112,12 +91,39 @@ def all_candidates(g: VisGraph) -> dict[Pair, CandidateSet]:
     """Candidate table over every ordered invisible pair, keyed in
     lexicographic order.
 
+    One sweep per viewer i: each run of targets between consecutive
+    vertices u, v that i sees has cw walk end u and ccw walk end v, which
+    qualify unless a visible pair joins the near and far arcs of the
+    entry (entry_arcs).  The near arc is fixed per run and side and the
+    far arc grows by one target at a time, so one pass from each end
+    ORs up the far arc's neighbours and decides the whole run.
+
     The dict is the graph's shared table: callers must not mutate it.
     Pairs whose candidate set is empty are representable here and make
     recognition fail immediately downstream, since assignments may only
     draw from candidate sets.
     """
-    return {p: candidate_blockers(g, p) for p in invisible_pairs(g)}
+    n, r = g.n, rows(g)
+    table = {}
+    for i in range(n):
+        seen = [v for v in range(n) if r[i] >> v & 1]
+        cw, ccw = [None] * n, [None] * n
+        for u, v in zip(seen, seen[1:] + seen[:1]):
+            if (v - u) % n < 2 or strictly_inside(n, u, v, i):
+                continue  # no target between u and v, or i's own gap
+            run = interval_vertices(n, (u + 1) % n, (v - 1) % n)
+            for k, side, walk in ((u, cw, run), (v, ccw, run[::-1])):
+                near = arc_mask(n, *entry_arcs(n, (i, run[0]), k)[0])
+                far_sees = 0
+                for j in walk:
+                    far_sees |= r[j]
+                    if far_sees & near:
+                        break
+                    side[j] = k
+        for j in range(n):
+            if j != i and not r[i] >> j & 1:
+                table[(i, j)] = CandidateSet(cw[j], ccw[j])
+    return table
 
 
 def assignment_to_dict(a: Assignment) -> dict:

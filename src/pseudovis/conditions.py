@@ -102,9 +102,11 @@ def entry_requirements(
 ) -> Iterator[_Requirement | Violation]:
     """Everything a single entry (pair -> k) implies under NC1-NC3.
 
-    Yields _Requirement records for forced assignments and ready-made
-    Violation records for requirements that the graph itself already
-    breaks (a pair that must be invisible is visible).
+    Yields _Requirement records for forced assignments that are still
+    open (a.get(req.pair) != req.value at the yield; a met one stays met
+    under any extension, so nothing is lost) and ready-made Violation
+    records for requirements that the graph itself already breaks (a
+    pair that must be invisible is visible).
     """
     n = g.n
     i, j = pair
@@ -112,41 +114,42 @@ def entry_requirements(
 
     # NC1 part (1): the blocker of (i,j) blocks i from the whole far arc.
     for t in far:
-        yield _Requirement((i, t), k, "NC1a", pair, k)
+        if a.get((i, t)) != k:
+            yield _Requirement((i, t), k, "NC1a", pair, k)
 
     # NC2: vertices between viewer and blocker are blocked from the target
     # either by the blocker itself (if they see it) or by whatever blocks
     # them from the blocker.
     for s in near:
         if g.visible(s, k):
-            yield _Requirement((s, j), k, "NC2", pair, k)
+            if a.get((s, j)) != k:
+                yield _Requirement((s, j), k, "NC2", pair, k)
         else:
             t = a.get((s, k))
-            if t is not None:
+            if t is not None and a.get((s, j)) != t:
                 yield _Requirement((s, j), t, "NC2", pair, k, via=((s, k),))
 
     # NC3: constraints on the reverse direction, viewed from the target:
     # the value forced is k if j sees k (case 1), else the blocker of (j, k).
     if g.visible(j, k):
-        cond, value, via = "NC3case1", k, ()
-        for s in near:
-            yield _Requirement((j, s), k, cond, pair, k)
+        cond, value, via, reach = "NC3case1", k, (), near
     else:
         value = a.get((j, k))
         if value is None:
             return
-        cond, via = "NC3case2", ((j, k),)
+        cond, via, reach = "NC3case2", ((j, k),), near + [k]
         if g.visible(i, value):
             yield _must_be_invisible(cond, pair, k, (j, k), (i, value))
-        else:
+        elif a.get((i, value)) != k:
             yield _Requirement((i, value), k, cond, pair, k, via=via)
-        for s in near + [k]:
+    for s in reach:
+        if a.get((j, s)) != value:
             yield _Requirement((j, s), value, cond, pair, k, via=via)
     for t in range(n):
         if t != j and a.get((k, t)) == i:
             if g.visible(j, t):
                 yield _must_be_invisible(cond, pair, k, (k, t), (j, t))
-            else:
+            elif a.get((j, t)) != value:
                 yield _Requirement((j, t), value, cond, pair, k, via=via + ((k, t),))
 
 
@@ -267,14 +270,20 @@ def _violations_iter(
                 yield req
                 continue
             actual = a.get(req.pair)
-            if actual is not None and actual != req.value:
+            if actual is not None:
                 yield _mismatch(req, actual)
     yield from residual_violations(g, a)
 
 
 def residual_violations(g: VisGraph, a: Assignment) -> Iterator[Violation]:
     """The NC1b, NC4 and NC5 violations: the checks that are not a
-    requirement of a single entry, so forcing never reports them."""
+    requirement of a single entry, so forcing never reports them.
+
+    The NC5 scan covers mutual entries only: a double pinch needs
+    (j, m) -> i beside (i, m2) -> j and (s, m) -> t beside (t, m2) -> s,
+    so it skips each entry (v, x) -> b with no entry (b, .) -> v.  The
+    certification still reads all of a.
+    """
     n = g.n
     for (i, j), k in sorted(a.items()):
         # NC1 part (2): the roles of viewer and blocker cannot swap.
@@ -297,7 +306,9 @@ def residual_violations(g: VisGraph, a: Assignment) -> Iterator[Violation]:
                 f"({lo[0]},{lo[1]}) and ({hi[0]},{hi[1]})",
             )
 
-    for q in pinched_quadruples(g, a):
+    viewer_blocker = {(v, b) for (v, _), b in a.items()}
+    mutual = {e: b for e, b in a.items() if (b, e[0]) in viewer_blocker}
+    for q in pinched_quadruples(g, mutual):
         for m2 in interval_vertices(n, q.j, q.s):
             if a.get((q.i, m2)) != q.j or a.get((q.t, m2)) != q.s:
                 continue

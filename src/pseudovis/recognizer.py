@@ -92,14 +92,13 @@ def _propagate(
             for req in entry_requirements(g, a, pair, a[pair]):
                 if isinstance(req, Violation):
                     return req
-                cur = a.get(req.pair)
-                if cur is None:
-                    if not cand[req.pair].contains(req.value):
-                        return _mismatch(req, None)
-                    a[req.pair] = req.value
-                    added(req.pair)
-                elif cur != req.value:
+                cur = a.get(req.pair)  # req is open: unassigned or clashing
+                if cur is not None:
                     return _mismatch(req, cur)
+                if not cand[req.pair].contains(req.value):
+                    return _mismatch(req, None)
+                a[req.pair] = req.value
+                added(req.pair)
     return next(residual_violations(g, a), None)
 
 

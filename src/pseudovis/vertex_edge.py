@@ -54,8 +54,8 @@ def build_ve(g: VisGraph, a: Assignment, check: bool = True) -> VEGraph:
     """Vertex-edge relation determined by (graph, assignment).
 
     With check=True the assignment must verify (total, candidate-drawn,
-    NC-clean); InvalidAssignment otherwise.  With check=False each
-    blocker must still differ from its viewer and target.
+    NC-clean); InvalidAssignment otherwise.  With check=False only an
+    entry whose blocker is its own viewer or target raises it.
     """
     if check:
         report = verify(g, a)
@@ -67,6 +67,8 @@ def build_ve(g: VisGraph, a: Assignment, check: bool = True) -> VEGraph:
     n = g.n
     hidden = [0] * n  # bit m of hidden[i]: some entry of viewer i hides edge m
     for (i, t), b in a.items():
+        if b == i or b == t:
+            raise InvalidAssignment(f"p{b} cannot block ({i},{t}): it is an end")
         # edges lo..hi-1, with blocker and target taken counterclockwise from i
         lo, hi = (b, t) if ccw_dist(n, i, b) < ccw_dist(n, i, t) else (t, b)
         hidden[i] |= arc_mask(n, lo, (hi - 1) % n)

@@ -23,8 +23,11 @@ from pseudovis.blockers import all_candidates
 from pseudovis.conditions import (
     PinchedQuadruple,
     SeparablePair,
+    Violation,
+    _pinch_certified,
     check_conditions,
     first_violation,
+    pinched_quadruples,
 )
 from pseudovis.graph_core import ccw_dist, in_interval, interval_vertices, invisible_pairs
 
@@ -137,6 +140,27 @@ def naive_pinched_quadruples(g: VisGraph, a: dict) -> list[PinchedQuadruple]:
             if in_interval(n, t, i, m):
                 out.add(PinchedQuadruple(i, j, s, t, m))
     return sorted(out, key=lambda q: (q.i, q.j, q.s, q.t, q.m))
+
+
+def full_scan_nc5(g: VisGraph, a: dict) -> list[Violation]:
+    """NC5 violations from every quadruple of pinched_quadruples(g, a),
+    with no filter on the entries scanned: each quadruple is tried with
+    every m2 on the walk from j to s."""
+    out = []
+    for q in pinched_quadruples(g, a):
+        for m2 in interval_vertices(g.n, q.j, q.s):
+            if a.get((q.i, m2)) != q.j or a.get((q.t, m2)) != q.s:
+                continue
+            if not _pinch_certified(g, a, q, m2):
+                continue
+            out.append(Violation(
+                "NC5",
+                tuple(sorted(((q.j, q.m), (q.s, q.m), (q.i, m2), (q.t, m2)))),
+                tuple(sorted((q.i, q.j, q.s, q.t))),
+                f"NC5: quadruple ({q.i},{q.j},{q.s},{q.t}) is pinched "
+                f"both ways, via p{q.m} and p{m2}",
+            ))
+    return out
 
 
 def brute_force_accepts(g: VisGraph) -> bool:

@@ -13,7 +13,7 @@ from pseudovis import (
 )
 from pseudovis.blockers import entry_arcs
 from pseudovis.graph_core import interval_vertices
-from support import cycle_graph, naive_candidates, naive_entry_arcs
+from support import complete_graph, cycle_graph, naive_candidates, naive_entry_arcs
 
 
 def test_quad4_candidates(quad4):
@@ -38,6 +38,19 @@ def test_visible_pair_rejected(k5):
 
 def test_all_candidates_empty_for_complete(k5):
     assert all_candidates(k5) == {}
+    for n in range(3, 10):
+        assert all_candidates(complete_graph(n)) == {}
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_chordless_cycles_match_naive_definition_scan(n):
+    """n = 3 is the triangle, whose table is empty; each longer chordless
+    cycle makes every target of a viewer one run between its neighbours."""
+    g = cycle_graph(n)
+    table = all_candidates(g)
+    assert list(table) == invisible_pairs(g)
+    for pair in table:
+        assert table[pair] == naive_candidates(g, pair)
 
 
 def test_empty_candidate_set_representable():
@@ -70,14 +83,14 @@ def test_entry_arcs_split_the_walk_holding_the_blocker():
 
 @st.composite
 def graphs(draw):
-    n = draw(st.integers(4, 8))
+    n = draw(st.integers(3, 14))
     chords = [
         (i, j)
         for i in range(n)
         for j in range(i + 2, n)
         if not (i == 0 and j == n - 1)
     ]
-    picked = draw(st.frozensets(st.sampled_from(chords)))
+    picked = draw(st.frozensets(st.sampled_from(chords))) if chords else ()
     return cycle_graph(n, picked)
 
 
@@ -85,6 +98,7 @@ def graphs(draw):
 def test_matches_naive_definition_scan(g):
     for pair in invisible_pairs(g):
         assert candidate_blockers(g, pair) == naive_candidates(g, pair)
+    assert list(all_candidates(g)) == invisible_pairs(g)
 
 
 @given(graphs())

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,8 +18,14 @@ from pseudovis import (
     separable_pairs,
     visibility_graph,
 )
+from pseudovis.conditions import (
+    _Requirement,
+    entry_requirements,
+    residual_violations,
+)
 from support import (
     cycle_graph,
+    full_scan_nc5,
     naive_pinched_quadruples,
     naive_separable_pairs,
     reflect_graph,
@@ -177,6 +185,45 @@ def arbitrary_partial_assignments(draw):
 def test_pinched_matches_definition_scan(ga):
     g, a = ga
     assert pinched_quadruples(g, a) == naive_pinched_quadruples(g, a)
+
+
+@settings(max_examples=200)
+@given(st.one_of(graph_and_assignment(), arbitrary_partial_assignments()))
+def test_requirements_are_open(ga):
+    g, a = ga
+    for pair, k in a.items():
+        if k in pair:
+            continue  # entry_requirements assumes k is neither end
+        for req in entry_requirements(g, a, pair, k):
+            if isinstance(req, _Requirement):
+                assert a.get(req.pair) != req.value, (pair, k, req)
+
+
+def test_residual_nc5_matches_full_pinch_scan():
+    """The residual check scans only mutual entries for NC5; on random
+    candidate-drawn partial assignments it must find exactly what a scan
+    of every pinched quadruple finds, in the same order."""
+    rng = random.Random(2)
+    hits = 0
+    for _ in range(2000):
+        n = rng.randint(4, 11)
+        density = rng.random()
+        g = cycle_graph(n, [
+            (i, j)
+            for i in range(n)
+            for j in range(i + 2, n)
+            if not (i == 0 and j == n - 1) and rng.random() < density
+        ])
+        share = rng.random()
+        a = {
+            pair: rng.choice(cs.members())
+            for pair, cs in all_candidates(g).items()
+            if not cs.is_empty and rng.random() < share
+        }
+        nc5 = [v for v in residual_violations(g, a) if v.condition == "NC5"]
+        assert nc5 == full_scan_nc5(g, a), a
+        hits += len(nc5)
+    assert hits > 0
 
 
 def test_nc5_fires_on_certified_double_pinch():

@@ -108,6 +108,12 @@ def test_invalid_assignment_rejected(dent5_graph):
         build_ve(dent5_graph, {(1, 3): 2})
 
 
+@pytest.mark.parametrize("a", [{(0, 2): 2}, {(0, 2): 0}])
+def test_unchecked_entry_blocked_by_its_own_end_rejected(a):
+    with pytest.raises(InvalidAssignment):
+        build_ve(cycle_graph(5), a, check=False)
+
+
 def test_is_articulation_examples(dent5_graph, k5):
     cand = all_candidates(dent5_graph)
     assert is_articulation(dent5_graph, cand, 1, 4, 2)
