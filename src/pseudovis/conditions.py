@@ -14,8 +14,10 @@ recognizer applies them as forced assignments instead).
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterator, NamedTuple
 
 from .blockers import Assignment, CandidateSet, all_candidates, entry_arcs
@@ -24,8 +26,10 @@ from .graph_core import (
     Pair,
     VisGraph,
     arc_mask,
+    bits_from,
     derived_table,
     interval_vertices,
+    rows,
 )
 
 
@@ -97,8 +101,45 @@ def _must_be_invisible(
     )
 
 
+class EntryIndex:
+    """Bitmask tables over the entries of an assignment, kept in step
+    with it by add and remove:
+
+    - by_viewer[v][b]: bit t is set iff (v, t) -> b;
+    - by_target[t][b]: bit v is set iff (v, t) -> b;
+    - viewers[t]: bit v is set iff (v, t) has an entry;
+    - by_blocker[b]: bit v * n + t is set iff (v, t) -> b, so ascending
+      bits are the entries in lexicographic order.
+    """
+
+    __slots__ = ("n", "by_viewer", "by_target", "viewers", "by_blocker")
+
+    def __init__(self, n: int, a: Assignment | None = None) -> None:
+        self.n = n
+        self.by_viewer = [[0] * n for _ in range(n)]
+        self.by_target = [[0] * n for _ in range(n)]
+        self.viewers = [0] * n
+        self.by_blocker = [0] * n
+        for (v, t), b in (a or {}).items():
+            self.add(v, t, b)
+
+    def add(self, v: int, t: int, b: int) -> None:
+        """Index the entry (v, t) -> b, which must not be indexed yet."""
+        self.by_viewer[v][b] |= 1 << t
+        self.by_target[t][b] |= 1 << v
+        self.viewers[t] |= 1 << v
+        self.by_blocker[b] |= 1 << v * self.n + t
+
+    def remove(self, v: int, t: int, b: int) -> None:
+        """Drop the indexed entry (v, t) -> b."""
+        self.by_viewer[v][b] &= ~(1 << t)
+        self.by_target[t][b] &= ~(1 << v)
+        self.viewers[t] &= ~(1 << v)
+        self.by_blocker[b] &= ~(1 << v * self.n + t)
+
+
 def entry_requirements(
-    g: VisGraph, a: Assignment, pair: Pair, k: int
+    g: VisGraph, a: Assignment, idx: EntryIndex, pair: Pair, k: int
 ) -> Iterator[_Requirement | Violation]:
     """Everything a single entry (pair -> k) implies under NC1-NC3.
 
@@ -107,50 +148,57 @@ def entry_requirements(
     under any extension, so nothing is lost) and ready-made Violation
     records for requirements that the graph itself already breaks (a
     pair that must be invisible is visible).
+
+    idx indexes a.  Each scan takes its open targets from idx with a few
+    mask operations and yields them in counterclockwise order from the
+    start of its arc; the reverse scan yields in ascending order.  A
+    caller may assign each yielded requirement before resuming: that
+    changes only the bit of the pair just yielded.
     """
-    n = g.n
+    n, r = g.n, rows(g)
     i, j = pair
-    near, far = [interval_vertices(n, *arc) for arc in entry_arcs(n, pair, k)]
+    by_viewer, by_target = idx.by_viewer, idx.by_target
+    (near0, near1), (far0, far1) = entry_arcs(n, pair, k)
+    near = arc_mask(n, near0, near1)
 
     # NC1 part (1): the blocker of (i,j) blocks i from the whole far arc.
-    for t in far:
-        if a.get((i, t)) != k:
-            yield _Requirement((i, t), k, "NC1a", pair, k)
+    for t in bits_from(arc_mask(n, far0, far1) & ~by_viewer[i][k], far0):
+        yield _Requirement((i, t), k, "NC1a", pair, k)
 
     # NC2: vertices between viewer and blocker are blocked from the target
     # either by the blocker itself (if they see it) or by whatever blocks
     # them from the blocker.
-    for s in near:
-        if g.visible(s, k):
-            if a.get((s, j)) != k:
-                yield _Requirement((s, j), k, "NC2", pair, k)
+    sees_k = r[k]
+    todo = near & (sees_k & ~by_target[j][k] | ~sees_k & idx.viewers[k])
+    for s in bits_from(todo, near0):
+        if sees_k >> s & 1:
+            yield _Requirement((s, j), k, "NC2", pair, k)
         else:
-            t = a.get((s, k))
-            if t is not None and a.get((s, j)) != t:
+            t = a[(s, k)]
+            if not by_target[j][t] >> s & 1:
                 yield _Requirement((s, j), t, "NC2", pair, k, via=((s, k),))
 
     # NC3: constraints on the reverse direction, viewed from the target:
     # the value forced is k if j sees k (case 1), else the blocker of (j, k).
-    if g.visible(j, k):
-        cond, value, via, reach = "NC3case1", k, (), near
+    # Case 2 also reaches k itself, but (j, k) -> value is then met.
+    if sees_k >> j & 1:
+        cond, value, via = "NC3case1", k, ()
     else:
         value = a.get((j, k))
         if value is None:
             return
-        cond, via, reach = "NC3case2", ((j, k),), near + [k]
-        if g.visible(i, value):
+        cond, via = "NC3case2", ((j, k),)
+        if r[i] >> value & 1:
             yield _must_be_invisible(cond, pair, k, (j, k), (i, value))
-        elif a.get((i, value)) != k:
+        elif not by_viewer[i][k] >> value & 1:
             yield _Requirement((i, value), k, cond, pair, k, via=via)
-    for s in reach:
-        if a.get((j, s)) != value:
-            yield _Requirement((j, s), value, cond, pair, k, via=via)
-    for t in range(n):
-        if t != j and a.get((k, t)) == i:
-            if g.visible(j, t):
-                yield _must_be_invisible(cond, pair, k, (k, t), (j, t))
-            elif a.get((j, t)) != value:
-                yield _Requirement((j, t), value, cond, pair, k, via=via + ((k, t),))
+    for s in bits_from(near & ~by_viewer[j][value], near0):
+        yield _Requirement((j, s), value, cond, pair, k, via=via)
+    for t in bits_from(by_viewer[k][i] & ~(1 << j), 0):
+        if r[j] >> t & 1:
+            yield _must_be_invisible(cond, pair, k, (k, t), (j, t))
+        elif not by_viewer[j][value] >> t & 1:
+            yield _Requirement((j, t), value, cond, pair, k, via=via + ((k, t),))
 
 
 @derived_table
@@ -264,8 +312,9 @@ def _violations_iter(
         if not cand[pair].contains(k):
             raise NotACandidate(f"p{k} is not a candidate for {pair}")
 
+    idx = EntryIndex(g.n, a)
     for pair, k in sorted(a.items()):
-        for req in entry_requirements(g, a, pair, k):
+        for req in entry_requirements(g, a, idx, pair, k):
             if isinstance(req, Violation):
                 yield req
                 continue
@@ -275,37 +324,79 @@ def _violations_iter(
     yield from residual_violations(g, a)
 
 
+def _nc1b(i: int, j: int, k: int) -> Violation:
+    return Violation(
+        "NC1b",
+        ((i, j), (k, j)),
+        (k, i),
+        f"NC1b: p{k} blocks ({i},{j}) while p{i} blocks ({k},{j})",
+    )
+
+
+def _nc4(rec: SeparablePair) -> Violation:
+    lo, hi = sorted((rec.pair_a, rec.pair_b))
+    return Violation(
+        "NC4",
+        (lo, hi),
+        (rec.blocker,),
+        f"NC4: p{rec.blocker} assigned to both separable pairs "
+        f"({lo[0]},{lo[1]}) and ({hi[0]},{hi[1]})",
+    )
+
+
 def residual_violations(g: VisGraph, a: Assignment) -> Iterator[Violation]:
     """The NC1b, NC4 and NC5 violations: the checks that are not a
-    requirement of a single entry, so forcing never reports them.
-
-    The NC5 scan covers mutual entries only: a double pinch needs
-    (j, m) -> i beside (i, m2) -> j and (s, m) -> t beside (t, m2) -> s,
-    so it skips each entry (v, x) -> b with no entry (b, .) -> v.  The
-    certification still reads all of a.
-    """
-    n = g.n
+    requirement of a single entry, so forcing never reports them."""
     for (i, j), k in sorted(a.items()):
         # NC1 part (2): the roles of viewer and blocker cannot swap.
         if not g.visible(k, j) and a.get((k, j)) == i:
-            yield Violation(
-                "NC1b",
-                ((i, j), (k, j)),
-                (k, i),
-                f"NC1b: p{k} blocks ({i},{j}) while p{i} blocks ({k},{j})",
-            )
+            yield _nc1b(i, j, k)
 
     for rec in separable_pairs(g):
         if a.get(rec.pair_a) == rec.blocker and a.get(rec.pair_b) == rec.blocker:
-            lo, hi = sorted((rec.pair_a, rec.pair_b))
-            yield Violation(
-                "NC4",
-                (lo, hi),
-                (rec.blocker,),
-                f"NC4: p{rec.blocker} assigned to both separable pairs "
-                f"({lo[0]},{lo[1]}) and ({hi[0]},{hi[1]})",
-            )
+            yield _nc4(rec)
 
+    yield from _nc5_violations(g, a)
+
+
+def first_new_residual(
+    g: VisGraph, a: Assignment, fresh: list[Pair]
+) -> Violation | None:
+    """next(residual_violations(g, a), None), for an assignment of
+    invisible pairs whose entries other than fresh have no NC1b or NC4
+    violation among them.
+
+    Every NC1b or NC4 violation of a then involves a fresh entry, so only
+    those are looked at: residual_violations reports an NC1b violation at
+    the smaller of its two entries and an NC4 violation at its index in
+    the separable table, which lists each blocker's records together.
+    NC5 is scanned in full.
+    """
+    first = None
+    for e in fresh:
+        (x, y), b = e, a[e]
+        if a.get((b, y)) == x:
+            at = min(e, (b, y))
+            if first is None or at < first:
+                first = at
+    if first is not None:
+        return _nc1b(*first, a[first])
+
+    recs, key = separable_pairs(g), attrgetter("blocker")
+    for b in sorted({a[e] for e in fresh}):
+        lo = bisect_left(recs, b, key=key)
+        for rec in recs[lo:bisect_right(recs, b, lo, key=key)]:
+            if a.get(rec.pair_a) == b and a.get(rec.pair_b) == b:
+                return _nc4(rec)
+    return next(_nc5_violations(g, a), None)
+
+
+def _nc5_violations(g: VisGraph, a: Assignment) -> Iterator[Violation]:
+    """The NC5 violations.  The scan covers mutual entries only: a double
+    pinch needs (j, m) -> i beside (i, m2) -> j and (s, m) -> t beside
+    (t, m2) -> s, so it skips each entry (v, x) -> b with no entry
+    (b, .) -> v.  The certification still reads all of a."""
+    n = g.n
     viewer_blocker = {(v, b) for (v, _), b in a.items()}
     mutual = {e: b for e, b in a.items() if (b, e[0]) in viewer_blocker}
     for q in pinched_quadruples(g, mutual):

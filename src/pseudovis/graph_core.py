@@ -66,6 +66,22 @@ def arc_mask(n: int, a: int, b: int) -> int:
     return ((1 << n) - (1 << a)) | ((1 << (b + 1)) - 1)
 
 
+def bits_from(mask: int, start: int) -> list[int]:
+    """The set bits of mask from bit start upward, then from bit 0 up to
+    start: for an arc_mask, its vertices in counterclockwise order from
+    start."""
+    if not mask:
+        return []
+    out = []
+    high = mask >> start << start
+    for m in (high, mask ^ high):
+        while m:
+            low = m & -m
+            out.append(low.bit_length() - 1)
+            m ^= low
+    return out
+
+
 def interval_edges(n: int, i: int, j: int) -> list[int]:
     """Boundary-edge indices of the counterclockwise walk from i to j.
 

@@ -3,28 +3,35 @@
 Variables are the ordered invisible pairs, domains their candidate sets
 (at most two values).  The search is chronological backtracking with
 forward propagation: conditions NC1-NC3 have implicational form, so each
-tentative entry forces further entries until a fixpoint.  Only dirty
-entries, whose premises changed, are revisited: a clean entry's
-requirements are all assigned and met.  NC4/NC5 (and NC1 part 2) are
-checked on every closure.  Rejection comes with a re-checkable certificate.
+tentative entry forces further entries until a fixpoint.  NC4/NC5 (and
+NC1 part 2) are checked on every closure.  Rejection comes with a
+re-checkable certificate.
+
+The whole search works on one assignment and its EntryIndex.  Every
+entry, decided or forced, is pushed onto a trail; a search node records
+the trail's length as its mark, and backtracking pops the trail back to
+the mark, undoing those entries in the assignment and the index.  The
+search is a loop over an explicit stack of nodes, so its depth costs no
+Python recursion.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
 from .blockers import Assignment, CandidateSet, all_candidates, assignment_to_dict
 from .conditions import (
+    EntryIndex,
     Violation,
     _mismatch,
     check_conditions,
     entry_requirements,
-    residual_violations,
+    first_new_residual,
     violation_to_dict,
 )
 from .errors import SearchBudgetExceeded
-from .graph_core import Pair, VisGraph, canonical_json
+from .graph_core import Pair, VisGraph, bits_from, canonical_json
 
 DEFAULT_NODE_BUDGET = 1_000_000
 
@@ -53,43 +60,84 @@ class Verdict:
     certificate: EmptyCandidateSet | ExhaustedSearch | None = None
 
 
-def _propagate(
-    g: VisGraph,
-    cand: dict[Pair, CandidateSet],
-    a: Assignment,
-    new: tuple[Pair, ...],
-) -> Violation | None:
-    """Close the assignment under NC1-NC3 forcing; mutate a in place.
+class _Trail:
+    """The search's one assignment, its index, and its entries in the
+    order they were assigned."""
 
-    a is closed apart from the entries in new.  Each pass walks the sorted
-    entries but visits only the dirty ones: a clean entry's requirements
-    are all assigned and met, so visiting it would change nothing.
+    __slots__ = ("a", "idx", "pairs")
+
+    def __init__(self, n: int) -> None:
+        self.a: Assignment = {}
+        self.idx = EntryIndex(n)
+        self.pairs: list[Pair] = []
+
+    def assign(self, pair: Pair, value: int) -> None:
+        self.a[pair] = value
+        self.pairs.append(pair)
+        self.idx.add(*pair, value)
+
+    def undo(self, mark: int) -> None:
+        """Unassign every entry pushed since the trail had mark entries."""
+        a, idx, pairs = self.a, self.idx, self.pairs
+        while len(pairs) > mark:
+            pair = pairs.pop()
+            idx.remove(*pair, a.pop(pair))
+
+
+def _propagate(
+    g: VisGraph, cand: dict[Pair, CandidateSet], trail: _Trail, mark: int
+) -> Violation | None:
+    """Close the trail's assignment under NC1-NC3 forcing, assigning on
+    the trail.
+
+    The assignment is closed apart from the entries pushed since mark.
+    Only dirty entries are visited: an entry is dirty from its assignment
+    or from a change to an entry it reads until its next visit, and a
+    clean entry's requirements are all assigned and met.  Visits come in
+    passes.  A pass visits, in sorted order, the dirty entries that
+    existed when it started; an entry dirtied at or behind the pass's
+    cursor, or assigned during the pass, waits for the next pass.  So
+    `now` holds the dirty entries still ahead in this pass and `later`
+    the rest, as entry codes v * n + t.  An entry assigned during the
+    pass goes to `later` at once and stays dirty until visited, so the
+    cursor decides only for entries that existed when the pass started.
 
     Returns the first violation hit (forced value outside the candidate
     set, contradiction with an existing entry, or any residual NC1b /
-    NC4 / NC5 breach on the closure), or None if consistent.
+    NC4 / NC5 breach on the closure), or None if consistent.  The closure
+    at mark was violation-free, so NC1b and NC4 are checked only on the
+    entries pushed since mark (conditions.first_new_residual).
     """
-    by_blocker: dict[int, set[Pair]] = defaultdict(set)
-    for pair, k in a.items():
-        by_blocker[k].add(pair)
-    dirty: set[Pair] = set()
+    n, a, idx = g.n, trail.a, trail.idx
+    by_viewer, by_blocker = idx.by_viewer, idx.by_blocker
+    dirty: set[int] = set()
+    now: list[int] = []
+    later: list[int] = []
+    cursor = -1
 
-    def added(pair: Pair) -> None:
-        # Dirty (x, y) -> b and its readers: NC2 and NC3 case 2 of the
+    def added(x: int, y: int, b: int) -> None:
+        # Dirty the readers of (x, y) -> b: NC2 and NC3 case 2 of the
         # entries blocked by y, the NC3 reverse scan of (b, .) -> x.
-        (x, y), b = pair, a[pair]
-        dirty.add(pair)
-        dirty.update(by_blocker[y], (p for p in by_blocker[x] if p[0] == b))
-        by_blocker[b].add(pair)
+        for code in bits_from(by_blocker[y] | by_viewer[b][x] << b * n, 0):
+            if code not in dirty:
+                dirty.add(code)
+                if code > cursor:
+                    heappush(now, code)
+                else:
+                    later.append(code)
 
-    for pair in new:
-        added(pair)
-    while dirty:
-        for pair in sorted(a):
-            if pair not in dirty:
-                continue
-            dirty.discard(pair)
-            for req in entry_requirements(g, a, pair, a[pair]):
+    for pair in trail.pairs[mark:]:
+        code = pair[0] * n + pair[1]
+        dirty.add(code)
+        now.append(code)
+        added(*pair, a[pair])
+    heapify(now)
+    while now:
+        while now:
+            cursor = heappop(now)
+            dirty.discard(cursor)
+            pair = divmod(cursor, n)
+            for req in entry_requirements(g, a, idx, pair, a[pair]):
                 if isinstance(req, Violation):
                     return req
                 cur = a.get(req.pair)  # req is open: unassigned or clashing
@@ -97,9 +145,14 @@ def _propagate(
                     return _mismatch(req, cur)
                 if not cand[req.pair].contains(req.value):
                     return _mismatch(req, None)
-                a[req.pair] = req.value
-                added(req.pair)
-    return next(residual_violations(g, a), None)
+                trail.assign(req.pair, req.value)
+                code = req.pair[0] * n + req.pair[1]
+                dirty.add(code)
+                later.append(code)
+                added(*req.pair, req.value)
+        now, later, cursor = later, [], -1
+        heapify(now)
+    return first_new_residual(g, a, trail.pairs[mark:])
 
 
 def find_assignment(
@@ -120,30 +173,40 @@ def find_assignment(
     order = sorted(cand, key=lambda p: (len(cand[p].members()), p))
     conflicts: list[tuple[int, Violation]] = []
     nodes = 0
+    trail = _Trail(g.n)
+    # One frame per decided variable: [its position in order, the index
+    # of its next value, the trail's length before it was assigned].
+    stack: list[list[int]] = []
+    bad: Violation | None = None  # the empty root closure is consistent
+    pos = 0
+    while True:
+        if bad is None:
+            pos = next((p for p in range(pos, len(order)) if order[p] not in trail.a), -1)
+            if pos < 0:
+                break
+            stack.append([pos, 0, len(trail.pairs)])
+        else:
+            conflicts.append((len(trail.a), bad))
+        while stack:
+            frame = stack[-1]
+            pos, i, mark = frame
+            values = cand[order[pos]].members()
+            trail.undo(mark)
+            if i < len(values):
+                frame[1] = i + 1
+                nodes += 1
+                if nodes > node_budget:
+                    raise SearchBudgetExceeded(
+                        f"no verdict within {node_budget} search nodes"
+                    )
+                trail.assign(order[pos], values[i])
+                bad = _propagate(g, cand, trail, mark)
+                break
+            stack.pop()
+        else:
+            return Verdict(False, certificate=ExhaustedSearch(tuple(conflicts)))
 
-    def solve(a: Assignment, new: tuple[Pair, ...]) -> Assignment | None:
-        nonlocal nodes
-        bad = _propagate(g, cand, a, new)
-        if bad is not None:
-            conflicts.append((len(a), bad))
-            return None
-        var = next((p for p in order if p not in a), None)
-        if var is None:
-            return a
-        for value in cand[var].members():
-            nodes += 1
-            if nodes > node_budget:
-                raise SearchBudgetExceeded(
-                    f"no verdict within {node_budget} search nodes"
-                )
-            result = solve({**a, var: value}, (var,))
-            if result is not None:
-                return result
-        return None
-
-    found = solve({}, ())
-    if found is None:
-        return Verdict(False, certificate=ExhaustedSearch(tuple(conflicts)))
+    found = trail.a
     report = verify(g, found)
     if not report.ok:  # propagation and the checker disagree: a bug
         raise AssertionError(f"accepted assignment failed verification: {report}")

@@ -8,6 +8,7 @@ optimized paths.
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from fractions import Fraction
 
 from pseudovis import (
@@ -19,15 +20,25 @@ from pseudovis import (
     validate_graph,
     validate_polygon,
 )
-from pseudovis.blockers import all_candidates
+from pseudovis.blockers import all_candidates, entry_arcs
 from pseudovis.conditions import (
     PinchedQuadruple,
     SeparablePair,
     Violation,
+    _mismatch,
+    _must_be_invisible,
     _pinch_certified,
+    _Requirement,
     check_conditions,
     first_violation,
     pinched_quadruples,
+    residual_violations,
+)
+from pseudovis.recognizer import (
+    EmptyCandidateSet,
+    ExhaustedSearch,
+    Verdict,
+    verify,
 )
 from pseudovis.graph_core import ccw_dist, in_interval, interval_vertices, invisible_pairs
 
@@ -161,6 +172,110 @@ def full_scan_nc5(g: VisGraph, a: dict) -> list[Violation]:
                 f"both ways, via p{q.m} and p{m2}",
             ))
     return out
+
+
+def naive_entry_requirements(g: VisGraph, a: dict, pair, k: int):
+    """entry_requirements restated vertex by vertex on the assignment
+    dict alone: each scan walks its arc and looks every pair up."""
+    n = g.n
+    i, j = pair
+    near, far = [interval_vertices(n, *arc) for arc in entry_arcs(n, pair, k)]
+    for t in far:
+        if a.get((i, t)) != k:
+            yield _Requirement((i, t), k, "NC1a", pair, k)
+    for s in near:
+        if g.visible(s, k):
+            if a.get((s, j)) != k:
+                yield _Requirement((s, j), k, "NC2", pair, k)
+        else:
+            t = a.get((s, k))
+            if t is not None and a.get((s, j)) != t:
+                yield _Requirement((s, j), t, "NC2", pair, k, via=((s, k),))
+    if g.visible(j, k):
+        cond, value, via, reach = "NC3case1", k, (), near
+    else:
+        value = a.get((j, k))
+        if value is None:
+            return
+        cond, via, reach = "NC3case2", ((j, k),), near + [k]
+        if g.visible(i, value):
+            yield _must_be_invisible(cond, pair, k, (j, k), (i, value))
+        elif a.get((i, value)) != k:
+            yield _Requirement((i, value), k, cond, pair, k, via=via)
+    for s in reach:
+        if a.get((j, s)) != value:
+            yield _Requirement((j, s), value, cond, pair, k, via=via)
+    for t in range(n):
+        if t != j and a.get((k, t)) == i:
+            if g.visible(j, t):
+                yield _must_be_invisible(cond, pair, k, (k, t), (j, t))
+            elif a.get((j, t)) != value:
+                yield _Requirement((j, t), value, cond, pair, k, via=via + ((k, t),))
+
+
+def naive_find_assignment(g: VisGraph) -> Verdict:
+    """find_assignment as a recursive search that copies the assignment
+    at every node.  Propagation walks the sorted entries in passes,
+    visiting the dirty ones, and every closure is checked with the full
+    residual_violations.  The package's search must match it byte for
+    byte (verdict_to_json)."""
+    cand = all_candidates(g)
+    for p, cs in cand.items():
+        if cs.is_empty:
+            return Verdict(False, certificate=EmptyCandidateSet(p))
+    order = sorted(cand, key=lambda p: (len(cand[p].members()), p))
+    conflicts = []
+
+    def propagate(a: dict, new: tuple) -> Violation | None:
+        by_blocker = defaultdict(set)
+        for pair, k in a.items():
+            by_blocker[k].add(pair)
+        dirty = set()
+
+        def added(pair):
+            (x, y), b = pair, a[pair]
+            dirty.add(pair)
+            dirty.update(by_blocker[y], (p for p in by_blocker[x] if p[0] == b))
+            by_blocker[b].add(pair)
+
+        for pair in new:
+            added(pair)
+        while dirty:
+            for pair in sorted(a):
+                if pair not in dirty:
+                    continue
+                dirty.discard(pair)
+                for req in naive_entry_requirements(g, a, pair, a[pair]):
+                    if isinstance(req, Violation):
+                        return req
+                    cur = a.get(req.pair)
+                    if cur is not None:
+                        return _mismatch(req, cur)
+                    if not cand[req.pair].contains(req.value):
+                        return _mismatch(req, None)
+                    a[req.pair] = req.value
+                    added(req.pair)
+        return next(residual_violations(g, a), None)
+
+    def solve(a: dict, new: tuple) -> dict | None:
+        bad = propagate(a, new)
+        if bad is not None:
+            conflicts.append((len(a), bad))
+            return None
+        var = next((p for p in order if p not in a), None)
+        if var is None:
+            return a
+        for value in cand[var].members():
+            result = solve({**a, var: value}, (var,))
+            if result is not None:
+                return result
+        return None
+
+    found = solve({}, ())
+    if found is None:
+        return Verdict(False, certificate=ExhaustedSearch(tuple(conflicts)))
+    assert verify(g, found).ok
+    return Verdict(True, assignment=found)
 
 
 def brute_force_accepts(g: VisGraph) -> bool:

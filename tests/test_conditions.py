@@ -1,7 +1,8 @@
 import random
+from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pseudovis import (
     NotACandidate,
@@ -19,13 +20,16 @@ from pseudovis import (
     visibility_graph,
 )
 from pseudovis.conditions import (
+    EntryIndex,
     _Requirement,
     entry_requirements,
+    first_new_residual,
     residual_violations,
 )
 from support import (
     cycle_graph,
     full_scan_nc5,
+    naive_entry_requirements,
     naive_pinched_quadruples,
     naive_separable_pairs,
     reflect_graph,
@@ -191,12 +195,81 @@ def test_pinched_matches_definition_scan(ga):
 @given(st.one_of(graph_and_assignment(), arbitrary_partial_assignments()))
 def test_requirements_are_open(ga):
     g, a = ga
+    idx = EntryIndex(g.n, a)
     for pair, k in a.items():
         if k in pair:
             continue  # entry_requirements assumes k is neither end
-        for req in entry_requirements(g, a, pair, k):
+        for req in entry_requirements(g, a, idx, pair, k):
             if isinstance(req, _Requirement):
                 assert a.get(req.pair) != req.value, (pair, k, req)
+
+
+# Near arc (3,0)->2 and far arc (2,4)->1 both wrap past vertex 0.
+WRAPPED_ARCS = (cycle_graph(5, [(1, 4)]), {(1, 3): 2, (2, 4): 1, (3, 0): 2, (4, 2): 1})
+
+
+@settings(max_examples=200)
+@given(st.one_of(graph_and_assignment(), arbitrary_partial_assignments()), st.booleans())
+@example(WRAPPED_ARCS, False)
+@example(WRAPPED_ARCS, True)
+def test_entry_requirements_match_vertex_scans(ga, assign):
+    """The index-based scans yield what the vertex-by-vertex scans yield,
+    in the same order; with assign, every requirement on an unassigned
+    pair is assigned before the generator resumes, as propagation does."""
+    g, a = ga
+
+    def run(reqs, b, idx=None):
+        out = []
+        for req in reqs:
+            out.append(req)
+            if assign and isinstance(req, _Requirement) and req.pair not in b:
+                b[req.pair] = req.value
+                if idx is not None:
+                    idx.add(*req.pair, req.value)
+        return out
+
+    for pair, k in sorted(a.items()):
+        if k in pair:
+            continue  # entry_requirements assumes k is neither end
+        b, b_ref = dict(a), dict(a)
+        idx = EntryIndex(g.n, b)
+        got = run(entry_requirements(g, b, idx, pair, k), b, idx)
+        assert got == run(naive_entry_requirements(g, b_ref, pair, k), b_ref)
+
+
+def test_first_new_residual_matches_full_scan():
+    """On an assignment whose entries before the fresh ones have no NC1b
+    or NC4 violation, checking NC1b and NC4 on the fresh entries alone
+    finds the first residual violation of the whole assignment."""
+    rng = random.Random(6)
+    hits = Counter()
+    for _ in range(600):
+        n = rng.randint(4, 11)
+        density = rng.random()
+        g = cycle_graph(n, [
+            (i, j)
+            for i in range(n)
+            for j in range(i + 2, n)
+            if not (i == 0 and j == n - 1) and rng.random() < density
+        ])
+        entries = [
+            (pair, rng.choice(cs.members()))
+            for pair, cs in all_candidates(g).items()
+            if not cs.is_empty
+        ]
+        rng.shuffle(entries)
+        a, rest = {}, []
+        for pair, k in entries:  # a clean base, built greedily
+            a[pair] = k
+            if any(v.condition != "NC5" for v in residual_violations(g, a)):
+                del a[pair]
+                rest.append((pair, k))
+        fresh = rng.sample(rest, min(len(rest), rng.randint(1, 3)))
+        a.update(fresh)
+        got = first_new_residual(g, a, [pair for pair, _ in fresh])
+        assert got == next(residual_violations(g, a), None), (a, fresh)
+        hits[got and got.condition] += 1
+    assert hits["NC1b"] and hits["NC4"], hits
 
 
 def test_residual_nc5_matches_full_pinch_scan():

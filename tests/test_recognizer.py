@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,7 +19,9 @@ from pseudovis import (
     verify,
     visibility_graph,
 )
-from support import brute_force_accepts, complete_graph, cycle_graph
+from pseudovis.conditions import EntryIndex
+from pseudovis.recognizer import _Trail
+from support import brute_force_accepts, complete_graph, cycle_graph, naive_find_assignment
 
 
 def cycle_chords(n: int) -> list[tuple[int, int]]:
@@ -121,6 +124,25 @@ def test_search_agrees_with_brute_force(g):
     assert find_assignment(g).accepted == brute_force_accepts(g)
 
 
+@settings(max_examples=100)
+@given(st.data())
+def test_trail_keeps_index_in_step(data):
+    # After every assign or undo, the trail's index equals one rebuilt
+    # from its assignment, whose order is the trail's.
+    n = data.draw(st.integers(3, 9))
+    trail = _Trail(n)
+    for _ in range(data.draw(st.integers(1, 40))):
+        free = [(v, t) for v in range(n) for t in range(n) if v != t and (v, t) not in trail.a]
+        if free and data.draw(st.booleans()):
+            trail.assign(data.draw(st.sampled_from(free)), data.draw(st.integers(0, n - 1)))
+        else:
+            trail.undo(data.draw(st.integers(0, len(trail.pairs))))
+        rebuilt = EntryIndex(n, trail.a)
+        for field in EntryIndex.__slots__:
+            assert getattr(trail.idx, field) == getattr(rebuilt, field), field
+        assert list(trail.a) == trail.pairs
+
+
 def test_mutated_polygon_graphs():
     # flipping one non-cycle pair of a realizable graph produces a mix of
     # accepted and rejected instances; the search must match brute force
@@ -207,3 +229,43 @@ def test_small_n_census(n, accepted):
                 for i, j in edges
             )
             assert verdicts[image] == ok
+
+
+def test_search_depth_uses_no_recursion():
+    # A search that spends a Python frame per decision reaches ~95
+    # frames here; the search must not need them.
+    g = visibility_graph(random_simple_polygon(32, 1))
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 50)
+    try:
+        v = find_assignment(g)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert v.accepted
+
+
+def test_search_matches_copying_search():
+    # The trail search against the recursive search that copies the
+    # assignment per node and checks every residual condition on every
+    # closure: verdicts, conflict order and depths must be identical.
+    rng = random.Random(4)
+    kinds = {"accepted": 0, EmptyCandidateSet: 0, ExhaustedSearch: 0}
+
+    def check(g):
+        v = find_assignment(g)
+        assert verdict_to_json(v) == verdict_to_json(naive_find_assignment(g))
+        kinds["accepted" if v.accepted else type(v.certificate)] += 1
+
+    for _ in range(2000):
+        n = rng.randint(4, 11)
+        density = rng.random()
+        check(cycle_graph(n, [c for c in cycle_chords(n) if rng.random() < density]))
+    for idx in range(100):
+        n = 7 + idx % 5
+        g = visibility_graph(random_simple_polygon(n, 60000 + idx))
+        chord = rng.choice(sorted(e for e in g.edges if (e[1] - e[0]) % n not in (1, n - 1)))
+        check(validate_graph(n, sorted(g.edges - {chord})))
+    assert all(kinds.values()), kinds
