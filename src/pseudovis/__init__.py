@@ -78,7 +78,6 @@ from .recognizer import (
 from .vertex_edge import (
     CharacterizationFailure,
     VEGraph,
-    articulation_by_incidence,
     build_ve,
     check_ve_characterization,
     is_articulation,

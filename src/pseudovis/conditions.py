@@ -28,7 +28,6 @@ from .graph_core import (
     arc_mask,
     bits_from,
     derived_table,
-    interval_vertices,
     rows,
 )
 
@@ -247,58 +246,46 @@ def pinched_quadruples(g: VisGraph, a: Assignment) -> list[PinchedQuadruple]:
 
 
 def _cap_spans_exactly(
-    g: VisGraph,
-    a: Assignment,
+    r: tuple[int, ...],
+    idx: EntryIndex,
     viewer: int,
     blocker: int,
-    stretch: list[int],
+    lo: int,
+    hi: int,
     excluded: tuple[int, int],
 ) -> bool:
     """True iff the blocker's shadow for this viewer provably pins its
-    boundary within the stretch.
+    boundary within the stretch, the walk from lo to hi.
 
     Every stretch vertex must be visible from the viewer or assigned this
     blocker, and neither excluded vertex may be hidden behind it.  Facts
     that depend on a still-unassigned pair leave the span undetermined,
     which reports False (monotone: once determined, it stays determined).
     """
-    for u in stretch:
-        if g.visible(viewer, u):
-            continue
-        if a.get((viewer, u)) != blocker:
-            return False
+    seen, shadow = r[viewer], idx.by_viewer[viewer][blocker]
+    if arc_mask(idx.n, lo, hi) & ~(seen | shadow):
+        return False
     for x in excluded:
-        if g.visible(viewer, x):
-            continue
-        b = a.get((viewer, x))
-        if b is None or b == blocker:
+        if not (seen >> x & 1 or idx.viewers[x] >> viewer & 1 and not shadow >> x & 1):
             return False
     return True
 
 
-def _pinch_certified(g: VisGraph, a: Assignment, q: PinchedQuadruple, m2: int) -> bool:
-    """Both pinches must certify genuine crossings of the two sightlines.
+def _pinch_certified(
+    r: tuple[int, ...], idx: EntryIndex, i: int, j: int, s: int, t: int, m: int
+) -> bool:
+    """The pinch of j and s toward m by i and t, (j, m) -> i beside
+    (s, m) -> t, certifies a genuine crossing of the two sightlines.
 
     A pinch only witnesses a crossing when each blocking ray's shadow is
     pinned between the quadruple vertex beside it and the shared target;
     a shadow swallowing the opposite sightline (nested pockets) blocks
     without crossing, which real polygons can realize.
     """
-    n = g.n
-    i, j, s, t, m = q.i, q.j, q.s, q.t, q.m
+    n = idx.n
     return (
-        _cap_spans_exactly(
-            g, a, j, i, interval_vertices(n, (t + 1) % n, m), (s, t)
-        )
-        and _cap_spans_exactly(
-            g, a, s, t, interval_vertices(n, m, (i - 1) % n), (i, j)
-        )
-        and _cap_spans_exactly(
-            g, a, i, j, interval_vertices(n, m2, (s - 1) % n), (s, t)
-        )
-        and _cap_spans_exactly(
-            g, a, t, s, interval_vertices(n, (j + 1) % n, m2), (i, j)
-        )
+        _cap_spans_exactly(r, idx, j, i, (t + 1) % n, m, (s, t))
+        and _cap_spans_exactly(r, idx, s, t, m, (i - 1) % n, (i, j))
     )
 
 
@@ -321,7 +308,7 @@ def _violations_iter(
             actual = a.get(req.pair)
             if actual is not None:
                 yield _mismatch(req, actual)
-    yield from residual_violations(g, a)
+    yield from residual_violations(g, a, idx)
 
 
 def _nc1b(i: int, j: int, k: int) -> Violation:
@@ -344,25 +331,28 @@ def _nc4(rec: SeparablePair) -> Violation:
     )
 
 
-def residual_violations(g: VisGraph, a: Assignment) -> Iterator[Violation]:
-    """The NC1b, NC4 and NC5 violations: the checks that are not a
-    requirement of a single entry, so forcing never reports them."""
+def residual_violations(
+    g: VisGraph, a: Assignment, idx: EntryIndex
+) -> Iterator[Violation]:
+    """The NC1b, NC4 and NC5 violations of an assignment of invisible
+    pairs: the checks that are not a requirement of a single entry, so
+    forcing never reports them.  idx indexes a; NC5 reads it."""
     for (i, j), k in sorted(a.items()):
         # NC1 part (2): the roles of viewer and blocker cannot swap.
-        if not g.visible(k, j) and a.get((k, j)) == i:
+        if a.get((k, j)) == i:
             yield _nc1b(i, j, k)
 
     for rec in separable_pairs(g):
         if a.get(rec.pair_a) == rec.blocker and a.get(rec.pair_b) == rec.blocker:
             yield _nc4(rec)
 
-    yield from _nc5_violations(g, a)
+    yield from _nc5_violations(g, a, idx)
 
 
 def first_new_residual(
-    g: VisGraph, a: Assignment, fresh: list[Pair]
+    g: VisGraph, a: Assignment, idx: EntryIndex, fresh: list[Pair]
 ) -> Violation | None:
-    """next(residual_violations(g, a), None), for an assignment of
+    """next(residual_violations(g, a, idx), None), for an assignment of
     invisible pairs whose entries other than fresh have no NC1b or NC4
     violation among them.
 
@@ -388,38 +378,39 @@ def first_new_residual(
         for rec in recs[lo:bisect_right(recs, b, lo, key=key)]:
             if a.get(rec.pair_a) == b and a.get(rec.pair_b) == b:
                 return _nc4(rec)
-    return next(_nc5_violations(g, a), None)
+    return next(_nc5_violations(g, a, idx), None)
 
 
-def _nc5_violations(g: VisGraph, a: Assignment) -> Iterator[Violation]:
-    """The NC5 violations.  The scan covers mutual entries only: a double
-    pinch needs (j, m) -> i beside (i, m2) -> j and (s, m) -> t beside
-    (t, m2) -> s, so it skips each entry (v, x) -> b with no entry
-    (b, .) -> v.  The certification still reads all of a."""
-    n = g.n
-    viewer_blocker = {(v, b) for (v, _), b in a.items()}
-    mutual = {e: b for e, b in a.items() if (b, e[0]) in viewer_blocker}
+def _nc5_violations(
+    g: VisGraph, a: Assignment, idx: EntryIndex
+) -> Iterator[Violation]:
+    """The NC5 violations, read from idx, which indexes a.  The scan
+    covers mutual entries only: a double pinch needs (j, m) -> i beside
+    (i, m2) -> j and (s, m) -> t beside (t, m2) -> s, so it skips each
+    entry (v, x) -> b with no entry (b, .) -> v, which is by_viewer[b][v]
+    empty.  The m2 of a quadruple are read from idx.  A double pinch is
+    certified as two pinches, each by mask tests on idx: the one toward m
+    once per quadruple, then the one toward m2, which is the pinch of
+    (s, t, i, j), for each m2."""
+    n, r, by_viewer = g.n, rows(g), idx.by_viewer
+    mutual = {e: b for e, b in a.items() if by_viewer[b][e[0]]}
     for q in pinched_quadruples(g, mutual):
-        for m2 in interval_vertices(n, q.j, q.s):
-            if a.get((q.i, m2)) != q.j or a.get((q.t, m2)) != q.s:
-                continue
-            if not _pinch_certified(g, a, q, m2):
-                continue
-            pairs = tuple(sorted(((q.j, q.m), (q.s, q.m), (q.i, m2), (q.t, m2))))
-            yield Violation(
-                "NC5",
-                pairs,
-                tuple(sorted((q.i, q.j, q.s, q.t))),
-                f"NC5: quadruple ({q.i},{q.j},{q.s},{q.t}) is pinched "
-                f"both ways, via p{q.m} and p{m2}",
-            )
+        i, j, s, t, m = q.i, q.j, q.s, q.t, q.m
+        both = by_viewer[i][j] & by_viewer[t][s] & arc_mask(n, j, s)
+        if not both or not _pinch_certified(r, idx, i, j, s, t, m):
+            continue
+        for m2 in bits_from(both, j):
+            if _pinch_certified(r, idx, s, t, i, j, m2):
+                yield Violation(
+                    "NC5",
+                    tuple(sorted(((j, m), (s, m), (i, m2), (t, m2)))),
+                    tuple(sorted((i, j, s, t))),
+                    f"NC5: quadruple ({i},{j},{s},{t}) is pinched "
+                    f"both ways, via p{m} and p{m2}",
+                )
 
 
-def check_conditions(
-    g: VisGraph,
-    a: Assignment,
-    candidates: dict[Pair, CandidateSet] | None = None,
-) -> list[Violation]:
+def check_conditions(g: VisGraph, a: Assignment) -> list[Violation]:
     """All NC1-NC5 violations present in a (possibly partial) assignment.
 
     Empty result means the assignment is consistent so far.  Entries not
@@ -428,7 +419,7 @@ def check_conditions(
     """
     seen = set()
     out = []
-    for v in _violations_iter(g, a, candidates):
+    for v in _violations_iter(g, a, None):
         key = (v.condition, v.pairs, v.vertices)
         if key not in seen:
             seen.add(key)

@@ -38,11 +38,6 @@ def ccw_dist(n: int, a: int, b: int) -> int:
     return (b - a) % n
 
 
-def in_interval(n: int, a: int, b: int, x: int) -> bool:
-    """True iff x lies on the inclusive counterclockwise walk from a to b."""
-    return (x - a) % n <= (b - a) % n
-
-
 def strictly_inside(n: int, a: int, b: int, x: int) -> bool:
     """True iff x lies on the walk from a to b excluding both endpoints."""
     return 0 < (x - a) % n < (b - a) % n

@@ -152,7 +152,7 @@ def _propagate(
                 added(*req.pair, req.value)
         now, later, cursor = later, [], -1
         heapify(now)
-    return first_new_residual(g, a, trail.pairs[mark:])
+    return first_new_residual(g, a, idx, trail.pairs[mark:])
 
 
 def find_assignment(
@@ -229,7 +229,7 @@ def verify(g: VisGraph, a: Assignment) -> VerifyReport:
             problems.append(f"({pair[0]},{pair[1]}) is unassigned")
     if problems:
         return VerifyReport(False, tuple(problems), ())
-    violations = check_conditions(g, a, cand)
+    violations = check_conditions(g, a)
     return VerifyReport(not violations, (), tuple(violations))
 
 

@@ -20,7 +20,6 @@ from .graph_core import (
     arc_mask,
     canonical_json,
     ccw_dist,
-    interval_edges,
     interval_vertices,
     json_field,
     json_ints,
@@ -96,41 +95,6 @@ def is_articulation(
             if cs is not None and cs.contains(v):
                 return True
     return False
-
-
-def articulation_by_incidence(ve: VEGraph, start: int, end: int, v: int) -> bool:
-    """Cut-vertex cross-check on the incidence structure of the walk from
-    start to end.
-
-    Nodes are the walk's vertices and boundary edges, with an arc for
-    every sees(vertex, edge) relation between them; v is an articulation
-    point iff removing its node disconnects the rest.
-    """
-    n = ve.n
-    if not strictly_inside(n, start, end, v):
-        raise VertexOutsideInterval(f"p{v} is not strictly inside the walk {start}..{end}")
-    verts = interval_vertices(n, start, end)
-    edges = interval_edges(n, start, end)
-    nodes = [("v", x) for x in verts if x != v] + [("e", m) for m in edges]
-    adj: dict[tuple[str, int], list[tuple[str, int]]] = {x: [] for x in nodes}
-    for x in verts:
-        if x == v:
-            continue
-        for m in edges:
-            if ve.sees(x, m):
-                adj[("v", x)].append(("e", m))
-                adj[("e", m)].append(("v", x))
-    if not nodes:
-        return False
-    seen = {nodes[0]}
-    stack = [nodes[0]]
-    while stack:
-        cur = stack.pop()
-        for nxt in adj[cur]:
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return len(seen) != len(nodes)
 
 
 def seen_edge_gaps(ve: VEGraph, k: int) -> list[tuple[int, int]]:

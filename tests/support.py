@@ -16,18 +16,19 @@ from pseudovis import (
     EdgeHit,
     Polygon,
     VEGraph,
+    VertexOutsideInterval,
     VisGraph,
     validate_graph,
     validate_polygon,
 )
 from pseudovis.blockers import all_candidates, entry_arcs
 from pseudovis.conditions import (
+    EntryIndex,
     PinchedQuadruple,
     SeparablePair,
     Violation,
     _mismatch,
     _must_be_invisible,
-    _pinch_certified,
     _Requirement,
     check_conditions,
     first_violation,
@@ -40,7 +41,13 @@ from pseudovis.recognizer import (
     Verdict,
     verify,
 )
-from pseudovis.graph_core import ccw_dist, in_interval, interval_vertices, invisible_pairs
+from pseudovis.graph_core import (
+    ccw_dist,
+    interval_edges,
+    interval_vertices,
+    invisible_pairs,
+    strictly_inside,
+)
 
 
 def cycle_graph(n: int, chords=()) -> VisGraph:
@@ -49,6 +56,11 @@ def cycle_graph(n: int, chords=()) -> VisGraph:
 
 def complete_graph(n: int) -> VisGraph:
     return validate_graph(n, [[i, j] for i in range(n) for j in range(i + 1, n)])
+
+
+def in_interval(n: int, a: int, b: int, x: int) -> bool:
+    """True iff x lies on the inclusive counterclockwise walk from a to b."""
+    return (x - a) % n <= (b - a) % n
 
 
 def naive_candidates(g: VisGraph, pair) -> CandidateSet:
@@ -114,6 +126,41 @@ def naive_build_ve(g: VisGraph, a: dict) -> VEGraph:
     ))
 
 
+def articulation_by_incidence(ve: VEGraph, start: int, end: int, v: int) -> bool:
+    """Cut-vertex cross-check of is_articulation on the incidence
+    structure of the walk from start to end.
+
+    Nodes are the walk's vertices and boundary edges, with an arc for
+    every sees(vertex, edge) relation between them; v is an articulation
+    point iff removing its node disconnects the rest.
+    """
+    n = ve.n
+    if not strictly_inside(n, start, end, v):
+        raise VertexOutsideInterval(f"p{v} is not strictly inside the walk {start}..{end}")
+    verts = interval_vertices(n, start, end)
+    edges = interval_edges(n, start, end)
+    nodes = [("v", x) for x in verts if x != v] + [("e", m) for m in edges]
+    adj: dict[tuple[str, int], list[tuple[str, int]]] = {x: [] for x in nodes}
+    for x in verts:
+        if x == v:
+            continue
+        for m in edges:
+            if ve.sees(x, m):
+                adj[("v", x)].append(("e", m))
+                adj[("e", m)].append(("v", x))
+    if not nodes:
+        return False
+    seen = {nodes[0]}
+    stack = [nodes[0]]
+    while stack:
+        cur = stack.pop()
+        for nxt in adj[cur]:
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return len(seen) != len(nodes)
+
+
 def naive_separable_pairs(g: VisGraph) -> list[SeparablePair]:
     """Every ordered pair of invisible pairs checked against the
     definition: pair_b shares the candidate blocker k of pair_a and both
@@ -153,16 +200,47 @@ def naive_pinched_quadruples(g: VisGraph, a: dict) -> list[PinchedQuadruple]:
     return sorted(out, key=lambda q: (q.i, q.j, q.s, q.t, q.m))
 
 
+def naive_cap_spans_exactly(
+    g: VisGraph, a: dict, viewer: int, blocker: int, stretch: list[int], excluded
+) -> bool:
+    """True iff every stretch vertex is visible from the viewer or
+    assigned this blocker, and each excluded vertex is visible from the
+    viewer or assigned some other blocker, looked up vertex by vertex."""
+    for u in stretch:
+        if not g.visible(viewer, u) and a.get((viewer, u)) != blocker:
+            return False
+    for x in excluded:
+        if not g.visible(viewer, x) and a.get((viewer, x)) in (None, blocker):
+            return False
+    return True
+
+
+def naive_pinch_certified(g: VisGraph, a: dict, q: PinchedQuadruple, m2: int) -> bool:
+    """The four shadows of a double pinch via m and m2, each pinned on
+    its stretch between a quadruple vertex and a shared target."""
+    n = g.n
+    i, j, s, t, m = q.i, q.j, q.s, q.t, q.m
+    return all(
+        naive_cap_spans_exactly(g, a, viewer, blocker, interval_vertices(n, lo, hi), excluded)
+        for viewer, blocker, lo, hi, excluded in (
+            (j, i, (t + 1) % n, m, (s, t)),
+            (s, t, m, (i - 1) % n, (i, j)),
+            (i, j, m2, (s - 1) % n, (s, t)),
+            (t, s, (j + 1) % n, m2, (i, j)),
+        )
+    )
+
+
 def full_scan_nc5(g: VisGraph, a: dict) -> list[Violation]:
     """NC5 violations from every quadruple of pinched_quadruples(g, a),
     with no filter on the entries scanned: each quadruple is tried with
-    every m2 on the walk from j to s."""
+    every m2 on the walk from j to s, and certified by dict lookups."""
     out = []
     for q in pinched_quadruples(g, a):
         for m2 in interval_vertices(g.n, q.j, q.s):
             if a.get((q.i, m2)) != q.j or a.get((q.t, m2)) != q.s:
                 continue
-            if not _pinch_certified(g, a, q, m2):
+            if not naive_pinch_certified(g, a, q, m2):
                 continue
             out.append(Violation(
                 "NC5",
@@ -255,7 +333,7 @@ def naive_find_assignment(g: VisGraph) -> Verdict:
                         return _mismatch(req, None)
                     a[req.pair] = req.value
                     added(req.pair)
-        return next(residual_violations(g, a), None)
+        return next(residual_violations(g, a, EntryIndex(g.n, a)), None)
 
     def solve(a: dict, new: tuple) -> dict | None:
         bad = propagate(a, new)
@@ -295,7 +373,7 @@ def brute_force_accepts(g: VisGraph) -> bool:
     if total <= 4096:
         for values in itertools.product(*(cand[p].members() for p in pairs)):
             a = dict(zip(pairs, values))
-            if not check_conditions(g, a, cand):
+            if not check_conditions(g, a):
                 return True
         return False
 

@@ -9,6 +9,7 @@ from pseudovis import (
     PinchedQuadruple,
     SeparablePair,
     UnknownPair,
+    VisGraph,
     all_candidates,
     candidate_blockers,
     check_conditions,
@@ -26,6 +27,7 @@ from pseudovis.conditions import (
     first_new_residual,
     residual_violations,
 )
+from pseudovis.recognizer import _Trail
 from support import (
     cycle_graph,
     full_scan_nc5,
@@ -237,6 +239,18 @@ def test_entry_requirements_match_vertex_scans(ga, assign):
         assert got == run(naive_entry_requirements(g, b_ref, pair, k), b_ref)
 
 
+def random_chord_graph(rng: random.Random) -> VisGraph:
+    """A cycle on 4..11 vertices with each chord drawn at a random density."""
+    n = rng.randint(4, 11)
+    density = rng.random()
+    return cycle_graph(n, [
+        (i, j)
+        for i in range(n)
+        for j in range(i + 2, n)
+        if not (i == 0 and j == n - 1) and rng.random() < density
+    ])
+
+
 def test_first_new_residual_matches_full_scan():
     """On an assignment whose entries before the fresh ones have no NC1b
     or NC4 violation, checking NC1b and NC4 on the fresh entries alone
@@ -244,14 +258,8 @@ def test_first_new_residual_matches_full_scan():
     rng = random.Random(6)
     hits = Counter()
     for _ in range(600):
-        n = rng.randint(4, 11)
-        density = rng.random()
-        g = cycle_graph(n, [
-            (i, j)
-            for i in range(n)
-            for j in range(i + 2, n)
-            if not (i == 0 and j == n - 1) and rng.random() < density
-        ])
+        g = random_chord_graph(rng)
+        n = g.n
         entries = [
             (pair, rng.choice(cs.members()))
             for pair, cs in all_candidates(g).items()
@@ -261,13 +269,15 @@ def test_first_new_residual_matches_full_scan():
         a, rest = {}, []
         for pair, k in entries:  # a clean base, built greedily
             a[pair] = k
-            if any(v.condition != "NC5" for v in residual_violations(g, a)):
+            residual = residual_violations(g, a, EntryIndex(n, a))
+            if any(v.condition != "NC5" for v in residual):
                 del a[pair]
                 rest.append((pair, k))
         fresh = rng.sample(rest, min(len(rest), rng.randint(1, 3)))
         a.update(fresh)
-        got = first_new_residual(g, a, [pair for pair, _ in fresh])
-        assert got == next(residual_violations(g, a), None), (a, fresh)
+        idx = EntryIndex(n, a)
+        got = first_new_residual(g, a, idx, [pair for pair, _ in fresh])
+        assert got == next(residual_violations(g, a, idx), None), (a, fresh)
         hits[got and got.condition] += 1
     assert hits["NC1b"] and hits["NC4"], hits
 
@@ -279,23 +289,43 @@ def test_residual_nc5_matches_full_pinch_scan():
     rng = random.Random(2)
     hits = 0
     for _ in range(2000):
-        n = rng.randint(4, 11)
-        density = rng.random()
-        g = cycle_graph(n, [
-            (i, j)
-            for i in range(n)
-            for j in range(i + 2, n)
-            if not (i == 0 and j == n - 1) and rng.random() < density
-        ])
+        g = random_chord_graph(rng)
+        n = g.n
         share = rng.random()
         a = {
             pair: rng.choice(cs.members())
             for pair, cs in all_candidates(g).items()
             if not cs.is_empty and rng.random() < share
         }
-        nc5 = [v for v in residual_violations(g, a) if v.condition == "NC5"]
+        residual = residual_violations(g, a, EntryIndex(n, a))
+        nc5 = [v for v in residual if v.condition == "NC5"]
         assert nc5 == full_scan_nc5(g, a), a
         hits += len(nc5)
+    assert hits > 0
+
+
+def test_residual_nc5_on_the_trail_matches_full_pinch_scan():
+    """NC5 read from the search trail's index, which assign and undo keep
+    in step, finds exactly what the dict-based scan of every pinched
+    quadruple finds, in the same order."""
+    rng = random.Random(11)
+    hits = 0
+    for _ in range(300):
+        g = random_chord_graph(rng)
+        cand = all_candidates(g)
+        entries = [(p, cs.members()) for p, cs in cand.items() if not cs.is_empty]
+        trail = _Trail(g.n)
+        for _ in range(60):
+            free = [(p, values) for p, values in entries if p not in trail.a]
+            if free and rng.random() < 0.85:
+                p, values = rng.choice(free)
+                trail.assign(p, rng.choice(values))
+            else:
+                trail.undo(rng.randint(max(0, len(trail.pairs) - 8), len(trail.pairs)))
+            residual = residual_violations(g, trail.a, trail.idx)
+            nc5 = [v for v in residual if v.condition == "NC5"]
+            assert nc5 == full_scan_nc5(g, trail.a), trail.a
+            hits += len(nc5)
     assert hits > 0
 
 

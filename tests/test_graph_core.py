@@ -20,8 +20,8 @@ from pseudovis import (
     visibility_graph,
 )
 from pseudovis.geometry import _designated_blockers
-from pseudovis.graph_core import arc_mask, in_interval, rows, strictly_inside
-from support import complete_graph, cycle_graph
+from pseudovis.graph_core import arc_mask, rows, strictly_inside
+from support import complete_graph, cycle_graph, in_interval
 
 
 def test_interval_predicates_match_walks():

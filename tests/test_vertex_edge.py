@@ -9,7 +9,6 @@ from pseudovis import (
     VEGraph,
     VertexOutsideInterval,
     all_candidates,
-    articulation_by_incidence,
     build_ve,
     check_ve_characterization,
     find_assignment,
@@ -21,7 +20,7 @@ from pseudovis import (
     ve_to_json,
     visibility_graph,
 )
-from support import cycle_graph, naive_build_ve
+from support import articulation_by_incidence, cycle_graph, naive_build_ve
 
 
 def test_k5_all_true(k5):
