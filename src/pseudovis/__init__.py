@@ -15,11 +15,9 @@ from .blockers import (
     candidate_blockers,
 )
 from .conditions import (
-    PinchedQuadruple,
     SeparablePair,
     Violation,
     check_conditions,
-    pinched_quadruples,
     separable_pairs,
 )
 from .errors import (
@@ -82,7 +80,6 @@ from .vertex_edge import (
     check_ve_characterization,
     is_articulation,
     seen_edge_gaps,
-    ve_from_json,
     ve_to_json,
 )
 

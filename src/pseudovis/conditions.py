@@ -47,15 +47,6 @@ class SeparablePair:
     pair_b: Pair
 
 
-@dataclass(frozen=True)
-class PinchedQuadruple:
-    i: int
-    j: int
-    s: int
-    t: int
-    m: int
-
-
 class _Requirement(NamedTuple):
     """pair must be assigned value, implied by trigger (+ via entries)."""
 
@@ -101,60 +92,73 @@ def _must_be_invisible(
 
 
 class EntryIndex:
-    """Bitmask tables over the entries of an assignment, kept in step
-    with it by add and remove:
+    """The search state over a graph: an assignment a, its entries in the
+    order they were assigned (pairs, the trail), and bitmask tables over
+    them, kept in step by assign and undo:
 
     - by_viewer[v][b]: bit t is set iff (v, t) -> b;
     - by_target[t][b]: bit v is set iff (v, t) -> b;
     - viewers[t]: bit v is set iff (v, t) has an entry;
     - by_blocker[b]: bit v * n + t is set iff (v, t) -> b, so ascending
       bits are the entries in lexicographic order.
+
+    rows is the graph's rows(g), read once here.
     """
 
-    __slots__ = ("n", "by_viewer", "by_target", "viewers", "by_blocker")
+    __slots__ = ("n", "rows", "a", "pairs", "by_viewer", "by_target", "viewers", "by_blocker")
 
-    def __init__(self, n: int, a: Assignment | None = None) -> None:
-        self.n = n
+    def __init__(self, g: VisGraph, a: Assignment) -> None:
+        n = self.n = g.n
+        self.rows = rows(g)
+        self.a: Assignment = {}
+        self.pairs: list[Pair] = []
         self.by_viewer = [[0] * n for _ in range(n)]
         self.by_target = [[0] * n for _ in range(n)]
         self.viewers = [0] * n
         self.by_blocker = [0] * n
-        for (v, t), b in (a or {}).items():
-            self.add(v, t, b)
+        for pair, b in a.items():
+            self.assign(pair, b)
 
-    def add(self, v: int, t: int, b: int) -> None:
-        """Index the entry (v, t) -> b, which must not be indexed yet."""
+    def assign(self, pair: Pair, b: int) -> None:
+        """Push the entry pair -> b; pair must be unassigned."""
+        v, t = pair
+        self.a[pair] = b
+        self.pairs.append(pair)
         self.by_viewer[v][b] |= 1 << t
         self.by_target[t][b] |= 1 << v
         self.viewers[t] |= 1 << v
         self.by_blocker[b] |= 1 << v * self.n + t
 
-    def remove(self, v: int, t: int, b: int) -> None:
-        """Drop the indexed entry (v, t) -> b."""
-        self.by_viewer[v][b] &= ~(1 << t)
-        self.by_target[t][b] &= ~(1 << v)
-        self.viewers[t] &= ~(1 << v)
-        self.by_blocker[b] &= ~(1 << v * self.n + t)
+    def undo(self, mark: int) -> None:
+        """Unassign every entry pushed since the trail had mark entries."""
+        a, pairs = self.a, self.pairs
+        while len(pairs) > mark:
+            v, t = pair = pairs.pop()
+            b = a.pop(pair)
+            self.by_viewer[v][b] &= ~(1 << t)
+            self.by_target[t][b] &= ~(1 << v)
+            self.viewers[t] &= ~(1 << v)
+            self.by_blocker[b] &= ~(1 << v * self.n + t)
 
 
 def entry_requirements(
-    g: VisGraph, a: Assignment, idx: EntryIndex, pair: Pair, k: int
+    idx: EntryIndex, pair: Pair, k: int
 ) -> Iterator[_Requirement | Violation]:
     """Everything a single entry (pair -> k) implies under NC1-NC3.
 
     Yields _Requirement records for forced assignments that are still
-    open (a.get(req.pair) != req.value at the yield; a met one stays met
-    under any extension, so nothing is lost) and ready-made Violation
+    open (idx.a.get(req.pair) != req.value at the yield; a met one stays
+    met under any extension, so nothing is lost) and ready-made Violation
     records for requirements that the graph itself already breaks (a
     pair that must be invisible is visible).
 
-    idx indexes a.  Each scan takes its open targets from idx with a few
-    mask operations and yields them in counterclockwise order from the
-    start of its arc; the reverse scan yields in ascending order.  A
-    caller may assign each yielded requirement before resuming: that
-    changes only the bit of the pair just yielded.
+    Each scan takes its open targets from idx with a few mask operations
+    and yields them in counterclockwise order from the start of its arc;
+    the reverse scan yields in ascending order.  A caller may assign each
+    yielded requirement before resuming: that changes only the bit of
+    the pair just yielded.
     """
-    n, r = g.n, rows(g)
+    n, r, a = idx.n, idx.rows, idx.a
     i, j = pair
     by_viewer, by_target = idx.by_viewer, idx.by_target
     (near0, near1), (far0, far1) = entry_arcs(n, pair, k)
@@ -220,33 +224,7 @@ def separable_pairs(g: VisGraph) -> list[SeparablePair]:
     return recs
 
 
-def pinched_quadruples(g: VisGraph, a: Assignment) -> list[PinchedQuadruple]:
-    """Quadruples (i,j,s,t) in counterclockwise order whose outer vertices
-    i and t block the sightlines of j and s toward a shared vertex m on
-    the arc from t around to i."""
-    n = g.n
-    by_target: dict[int, list[tuple[int, int]]] = defaultdict(list)
-    for (v, m), b in a.items():
-        by_target[m].append((v, b))
-    quads = []
-    for m, entries in by_target.items():
-        if len(entries) < 2:
-            continue
-        for j, i in entries:
-            dj = (j - i) % n
-            for s, t in entries:
-                # ccw distances from i; 0 < dj < ds < dt makes all four
-                # distinct, and each (viewer, m) entry is unique, so each
-                # quadruple arises once.
-                ds, dt = (s - i) % n, (t - i) % n
-                if 0 < dj < ds < dt and (m - t) % n <= n - dt:
-                    quads.append((i, j, s, t, m))
-    quads.sort()
-    return [PinchedQuadruple(*q) for q in quads]
-
-
 def _cap_spans_exactly(
-    r: tuple[int, ...],
     idx: EntryIndex,
     viewer: int,
     blocker: int,
@@ -262,7 +240,7 @@ def _cap_spans_exactly(
     that depend on a still-unassigned pair leave the span undetermined,
     which reports False (monotone: once determined, it stays determined).
     """
-    seen, shadow = r[viewer], idx.by_viewer[viewer][blocker]
+    seen, shadow = idx.rows[viewer], idx.by_viewer[viewer][blocker]
     if arc_mask(idx.n, lo, hi) & ~(seen | shadow):
         return False
     for x in excluded:
@@ -271,9 +249,7 @@ def _cap_spans_exactly(
     return True
 
 
-def _pinch_certified(
-    r: tuple[int, ...], idx: EntryIndex, i: int, j: int, s: int, t: int, m: int
-) -> bool:
+def _pinch_certified(idx: EntryIndex, i: int, j: int, s: int, t: int, m: int) -> bool:
     """The pinch of j and s toward m by i and t, (j, m) -> i beside
     (s, m) -> t, certifies a genuine crossing of the two sightlines.
 
@@ -284,8 +260,8 @@ def _pinch_certified(
     """
     n = idx.n
     return (
-        _cap_spans_exactly(r, idx, j, i, (t + 1) % n, m, (s, t))
-        and _cap_spans_exactly(r, idx, s, t, m, (i - 1) % n, (i, j))
+        _cap_spans_exactly(idx, j, i, (t + 1) % n, m, (s, t))
+        and _cap_spans_exactly(idx, s, t, m, (i - 1) % n, (i, j))
     )
 
 
@@ -299,16 +275,16 @@ def _violations_iter(
         if not cand[pair].contains(k):
             raise NotACandidate(f"p{k} is not a candidate for {pair}")
 
-    idx = EntryIndex(g.n, a)
+    idx = EntryIndex(g, a)
     for pair, k in sorted(a.items()):
-        for req in entry_requirements(g, a, idx, pair, k):
+        for req in entry_requirements(idx, pair, k):
             if isinstance(req, Violation):
                 yield req
                 continue
             actual = a.get(req.pair)
             if actual is not None:
                 yield _mismatch(req, actual)
-    yield from residual_violations(g, a, idx)
+    yield from residual_violations(g, idx, idx.pairs)
 
 
 def _nc1b(i: int, j: int, k: int) -> Violation:
@@ -332,75 +308,76 @@ def _nc4(rec: SeparablePair) -> Violation:
 
 
 def residual_violations(
-    g: VisGraph, a: Assignment, idx: EntryIndex
+    g: VisGraph, idx: EntryIndex, fresh: list[Pair]
 ) -> Iterator[Violation]:
-    """The NC1b, NC4 and NC5 violations of an assignment of invisible
+    """The NC1b, NC4 and NC5 violations of idx's assignment of invisible
     pairs: the checks that are not a requirement of a single entry, so
-    forcing never reports them.  idx indexes a; NC5 reads it."""
-    for (i, j), k in sorted(a.items()):
-        # NC1 part (2): the roles of viewer and blocker cannot swap.
-        if a.get((k, j)) == i:
-            yield _nc1b(i, j, k)
+    forcing never reports them.
 
-    for rec in separable_pairs(g):
-        if a.get(rec.pair_a) == rec.blocker and a.get(rec.pair_b) == rec.blocker:
-            yield _nc4(rec)
-
-    yield from _nc5_violations(g, a, idx)
-
-
-def first_new_residual(
-    g: VisGraph, a: Assignment, idx: EntryIndex, fresh: list[Pair]
-) -> Violation | None:
-    """next(residual_violations(g, a, idx), None), for an assignment of
-    invisible pairs whose entries other than fresh have no NC1b or NC4
-    violation among them.
-
-    Every NC1b or NC4 violation of a then involves a fresh entry, so only
-    those are looked at: residual_violations reports an NC1b violation at
-    the smaller of its two entries and an NC4 violation at its index in
-    the separable table, which lists each blocker's records together.
-    NC5 is scanned in full.
+    NC1b and NC4 are looked for only among the violations that involve
+    an entry of fresh, so with every entry fresh this is all of them, in
+    the order of the entries (NC1b) and of the separable table (NC4).
+    Where the other entries have no NC1b or NC4 violation among them,
+    the violations are the same as with every entry fresh.  NC5 is
+    scanned in full.
     """
-    first = None
-    for e in fresh:
-        (x, y), b = e, a[e]
-        if a.get((b, y)) == x:
-            at = min(e, (b, y))
-            if first is None or at < first:
-                first = at
-    if first is not None:
-        return _nc1b(*first, a[first])
+    a = idx.a
+    # NC1 part (2): the roles of viewer and blocker cannot swap.  Both
+    # entries of a swap report it.
+    swapped = set()
+    for x, y in fresh:
+        k = a[(x, y)]
+        if a.get((k, y)) == x:
+            swapped.update(((x, y), (k, y)))
+    for i, j in sorted(swapped):
+        yield _nc1b(i, j, a[(i, j)])
 
     recs, key = separable_pairs(g), attrgetter("blocker")
     for b in sorted({a[e] for e in fresh}):
         lo = bisect_left(recs, b, key=key)
         for rec in recs[lo:bisect_right(recs, b, lo, key=key)]:
             if a.get(rec.pair_a) == b and a.get(rec.pair_b) == b:
-                return _nc4(rec)
-    return next(_nc5_violations(g, a, idx), None)
+                yield _nc4(rec)
+
+    yield from _nc5_violations(idx)
 
 
-def _nc5_violations(
-    g: VisGraph, a: Assignment, idx: EntryIndex
-) -> Iterator[Violation]:
-    """The NC5 violations, read from idx, which indexes a.  The scan
-    covers mutual entries only: a double pinch needs (j, m) -> i beside
-    (i, m2) -> j and (s, m) -> t beside (t, m2) -> s, so it skips each
-    entry (v, x) -> b with no entry (b, .) -> v, which is by_viewer[b][v]
-    empty.  The m2 of a quadruple are read from idx.  A double pinch is
-    certified as two pinches, each by mask tests on idx: the one toward m
-    once per quadruple, then the one toward m2, which is the pinch of
+def _nc5_violations(idx: EntryIndex) -> Iterator[Violation]:
+    """The NC5 violations of idx's assignment: quadruples (i,j,s,t) in
+    counterclockwise order whose outer vertices i and t block j and s
+    from a shared target m on the walk from t to i, (j, m) -> i beside
+    (s, m) -> t, and block them the other way from some m2, (i, m2) -> j
+    beside (t, m2) -> s.
+
+    The scan covers mutual entries only: it skips each entry (v, x) -> b
+    with no entry (b, .) -> v, which is by_viewer[b][v] empty.  The m2 of
+    a quadruple are read from idx.  A double pinch is certified as two
+    pinches, each by mask tests on idx: the one toward m once per
+    quadruple, then the one toward m2, which is the pinch of
     (s, t, i, j), for each m2."""
-    n, r, by_viewer = g.n, rows(g), idx.by_viewer
-    mutual = {e: b for e, b in a.items() if by_viewer[b][e[0]]}
-    for q in pinched_quadruples(g, mutual):
-        i, j, s, t, m = q.i, q.j, q.s, q.t, q.m
+    n, by_viewer = idx.n, idx.by_viewer
+    by_target: dict[int, list[tuple[int, int]]] = defaultdict(list)
+    for (v, m), b in idx.a.items():
+        if by_viewer[b][v]:
+            by_target[m].append((v, b))
+    quads = []
+    for m, entries in by_target.items():
+        for j, i in entries:
+            dj = (j - i) % n
+            for s, t in entries:
+                # ccw distances from i; 0 < dj < ds < dt makes all four
+                # distinct, and each (viewer, m) entry is unique, so each
+                # quadruple arises once.
+                ds, dt = (s - i) % n, (t - i) % n
+                if 0 < dj < ds < dt and (m - t) % n <= n - dt:
+                    quads.append((i, j, s, t, m))
+    quads.sort()
+    for i, j, s, t, m in quads:
         both = by_viewer[i][j] & by_viewer[t][s] & arc_mask(n, j, s)
-        if not both or not _pinch_certified(r, idx, i, j, s, t, m):
+        if not both or not _pinch_certified(idx, i, j, s, t, m):
             continue
         for m2 in bits_from(both, j):
-            if _pinch_certified(r, idx, s, t, i, j, m2):
+            if _pinch_certified(idx, s, t, i, j, m2):
                 yield Violation(
                     "NC5",
                     tuple(sorted(((j, m), (s, m), (i, m2), (t, m2)))),

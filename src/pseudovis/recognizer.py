@@ -7,12 +7,12 @@ tentative entry forces further entries until a fixpoint.  NC4/NC5 (and
 NC1 part 2) are checked on every closure.  Rejection comes with a
 re-checkable certificate.
 
-The whole search works on one assignment and its EntryIndex.  Every
-entry, decided or forced, is pushed onto a trail; a search node records
-the trail's length as its mark, and backtracking pops the trail back to
-the mark, undoing those entries in the assignment and the index.  The
-search is a loop over an explicit stack of nodes, so its depth costs no
-Python recursion.
+The whole search works on one EntryIndex, which owns the assignment.
+Every entry, decided or forced, is pushed onto its trail; a search node
+records the trail's length as its mark, and backtracking pops the trail
+back to the mark, undoing those entries in the assignment and the
+index.  The search is a loop over an explicit stack of nodes, so its
+depth costs no Python recursion.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .conditions import (
     _mismatch,
     check_conditions,
     entry_requirements,
-    first_new_residual,
+    residual_violations,
     violation_to_dict,
 )
 from .errors import SearchBudgetExceeded
@@ -60,35 +60,11 @@ class Verdict:
     certificate: EmptyCandidateSet | ExhaustedSearch | None = None
 
 
-class _Trail:
-    """The search's one assignment, its index, and its entries in the
-    order they were assigned."""
-
-    __slots__ = ("a", "idx", "pairs")
-
-    def __init__(self, n: int) -> None:
-        self.a: Assignment = {}
-        self.idx = EntryIndex(n)
-        self.pairs: list[Pair] = []
-
-    def assign(self, pair: Pair, value: int) -> None:
-        self.a[pair] = value
-        self.pairs.append(pair)
-        self.idx.add(*pair, value)
-
-    def undo(self, mark: int) -> None:
-        """Unassign every entry pushed since the trail had mark entries."""
-        a, idx, pairs = self.a, self.idx, self.pairs
-        while len(pairs) > mark:
-            pair = pairs.pop()
-            idx.remove(*pair, a.pop(pair))
-
-
 def _propagate(
-    g: VisGraph, cand: dict[Pair, CandidateSet], trail: _Trail, mark: int
+    g: VisGraph, cand: dict[Pair, CandidateSet], idx: EntryIndex, mark: int
 ) -> Violation | None:
-    """Close the trail's assignment under NC1-NC3 forcing, assigning on
-    the trail.
+    """Close idx's assignment under NC1-NC3 forcing, assigning on its
+    trail.
 
     The assignment is closed apart from the entries pushed since mark.
     Only dirty entries are visited: an entry is dirty from its assignment
@@ -106,9 +82,9 @@ def _propagate(
     set, contradiction with an existing entry, or any residual NC1b /
     NC4 / NC5 breach on the closure), or None if consistent.  The closure
     at mark was violation-free, so NC1b and NC4 are checked only on the
-    entries pushed since mark (conditions.first_new_residual).
+    entries pushed since mark.
     """
-    n, a, idx = g.n, trail.a, trail.idx
+    n, a = g.n, idx.a
     by_viewer, by_blocker = idx.by_viewer, idx.by_blocker
     dirty: set[int] = set()
     now: list[int] = []
@@ -126,7 +102,7 @@ def _propagate(
                 else:
                     later.append(code)
 
-    for pair in trail.pairs[mark:]:
+    for pair in idx.pairs[mark:]:
         code = pair[0] * n + pair[1]
         dirty.add(code)
         now.append(code)
@@ -137,7 +113,7 @@ def _propagate(
             cursor = heappop(now)
             dirty.discard(cursor)
             pair = divmod(cursor, n)
-            for req in entry_requirements(g, a, idx, pair, a[pair]):
+            for req in entry_requirements(idx, pair, a[pair]):
                 if isinstance(req, Violation):
                     return req
                 cur = a.get(req.pair)  # req is open: unassigned or clashing
@@ -145,14 +121,14 @@ def _propagate(
                     return _mismatch(req, cur)
                 if not cand[req.pair].contains(req.value):
                     return _mismatch(req, None)
-                trail.assign(req.pair, req.value)
+                idx.assign(req.pair, req.value)
                 code = req.pair[0] * n + req.pair[1]
                 dirty.add(code)
                 later.append(code)
                 added(*req.pair, req.value)
         now, later, cursor = later, [], -1
         heapify(now)
-    return first_new_residual(g, a, idx, trail.pairs[mark:])
+    return next(residual_violations(g, idx, idx.pairs[mark:]), None)
 
 
 def find_assignment(
@@ -173,7 +149,7 @@ def find_assignment(
     order = sorted(cand, key=lambda p: (len(cand[p].members()), p))
     conflicts: list[tuple[int, Violation]] = []
     nodes = 0
-    trail = _Trail(g.n)
+    idx = EntryIndex(g, {})
     # One frame per decided variable: [its position in order, the index
     # of its next value, the trail's length before it was assigned].
     stack: list[list[int]] = []
@@ -181,17 +157,17 @@ def find_assignment(
     pos = 0
     while True:
         if bad is None:
-            pos = next((p for p in range(pos, len(order)) if order[p] not in trail.a), -1)
+            pos = next((p for p in range(pos, len(order)) if order[p] not in idx.a), -1)
             if pos < 0:
                 break
-            stack.append([pos, 0, len(trail.pairs)])
+            stack.append([pos, 0, len(idx.pairs)])
         else:
-            conflicts.append((len(trail.a), bad))
+            conflicts.append((len(idx.a), bad))
         while stack:
             frame = stack[-1]
             pos, i, mark = frame
             values = cand[order[pos]].members()
-            trail.undo(mark)
+            idx.undo(mark)
             if i < len(values):
                 frame[1] = i + 1
                 nodes += 1
@@ -199,14 +175,14 @@ def find_assignment(
                     raise SearchBudgetExceeded(
                         f"no verdict within {node_budget} search nodes"
                     )
-                trail.assign(order[pos], values[i])
-                bad = _propagate(g, cand, trail, mark)
+                idx.assign(order[pos], values[i])
+                bad = _propagate(g, cand, idx, mark)
                 break
             stack.pop()
         else:
             return Verdict(False, certificate=ExhaustedSearch(tuple(conflicts)))
 
-    found = trail.a
+    found = idx.a
     report = verify(g, found)
     if not report.ok:  # propagation and the checker disagree: a bug
         raise AssertionError(f"accepted assignment failed verification: {report}")

@@ -9,11 +9,10 @@ so a vertex always sees them.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .blockers import Assignment, CandidateSet, all_candidates
-from .errors import InvalidAssignment, MalformedInput, VertexOutsideInterval
+from .errors import InvalidAssignment, VertexOutsideInterval
 from .graph_core import (
     Pair,
     VisGraph,
@@ -21,8 +20,6 @@ from .graph_core import (
     canonical_json,
     ccw_dist,
     interval_vertices,
-    json_field,
-    json_ints,
     strictly_inside,
 )
 from .recognizer import verify
@@ -147,16 +144,3 @@ def ve_to_json(ve: VEGraph) -> str:
     entries = sorted((i, m) for i in range(ve.n) for m in ve.rows[i])
     return canonical_json({"n": ve.n, "sees": [list(e) for e in entries]})
 
-
-def ve_from_json(text: str) -> VEGraph:
-    obj = json.loads(text)
-    n = json_field(obj, "n", int)
-    if n < 3:
-        raise MalformedInput(f"vertex count must be at least 3, got {n}")
-    rows = [set() for _ in range(n)]
-    for entry in json_field(obj, "sees", list):
-        i, m = json_ints(entry, 2, "sees entry")
-        if not (0 <= i < n and 0 <= m < n):
-            raise MalformedInput(f"sees entry ({i},{m}) outside [0,{n})")
-        rows[i].add(m)
-    return VEGraph(n, tuple(frozenset(r) for r in rows))

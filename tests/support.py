@@ -23,17 +23,15 @@ from pseudovis import (
 )
 from pseudovis.blockers import all_candidates, entry_arcs
 from pseudovis.conditions import (
-    EntryIndex,
-    PinchedQuadruple,
     SeparablePair,
     Violation,
     _mismatch,
     _must_be_invisible,
+    _nc1b,
+    _nc4,
     _Requirement,
     check_conditions,
     first_violation,
-    pinched_quadruples,
-    residual_violations,
 )
 from pseudovis.recognizer import (
     EmptyCandidateSet,
@@ -167,26 +165,27 @@ def naive_separable_pairs(g: VisGraph) -> list[SeparablePair]:
     its ends lie on the walk from k to pair_a's target away from the
     viewer (k and the target included)."""
     n = g.n
-    cand = {p: naive_candidates(g, p) for p in invisible_pairs(g)}
+    cand = {p: naive_candidates(g, p).members() for p in invisible_pairs(g)}
     out = []
-    for (i, j), cs_a in cand.items():
-        for k in cs_a.members():
+    for (i, j), ks_a in cand.items():
+        for k in ks_a:
             step = 1 if k in interval_vertices(n, i, j) else -1
             arc = {k}
             v = k
             while v != j:
                 v = (v + step) % n
                 arc.add(v)
-            for (s, t), cs_b in cand.items():
-                if (s, t) != (i, j) and k in cs_b.members() and {s, t} <= arc:
+            for (s, t), ks_b in cand.items():
+                if (s, t) != (i, j) and k in ks_b and {s, t} <= arc:
                     out.append(SeparablePair(k, (i, j), (s, t)))
     return sorted(out, key=lambda r: (r.blocker, r.pair_a, r.pair_b))
 
 
-def naive_pinched_quadruples(g: VisGraph, a: dict) -> list[PinchedQuadruple]:
+def naive_pinched_quadruples(g: VisGraph, a: dict) -> list[tuple[int, int, int, int, int]]:
     """Every pair of entries (j, m) -> i and (s, m) -> t with a shared
     target m checked against the definition: i, j, s, t are four distinct
-    vertices in counterclockwise order and m lies on the walk from t to i."""
+    vertices in counterclockwise order and m lies on the walk from t to i.
+    Each pinched quadruple is the tuple (i, j, s, t, m)."""
     n = g.n
     out = set()
     for (j, m), i in a.items():
@@ -196,8 +195,8 @@ def naive_pinched_quadruples(g: VisGraph, a: dict) -> list[PinchedQuadruple]:
             if not 0 < ccw_dist(n, i, j) < ccw_dist(n, i, s) < ccw_dist(n, i, t):
                 continue
             if in_interval(n, t, i, m):
-                out.add(PinchedQuadruple(i, j, s, t, m))
-    return sorted(out, key=lambda q: (q.i, q.j, q.s, q.t, q.m))
+                out.add((i, j, s, t, m))
+    return sorted(out)
 
 
 def naive_cap_spans_exactly(
@@ -215,11 +214,11 @@ def naive_cap_spans_exactly(
     return True
 
 
-def naive_pinch_certified(g: VisGraph, a: dict, q: PinchedQuadruple, m2: int) -> bool:
+def naive_pinch_certified(g: VisGraph, a: dict, q: tuple, m2: int) -> bool:
     """The four shadows of a double pinch via m and m2, each pinned on
     its stretch between a quadruple vertex and a shared target."""
     n = g.n
-    i, j, s, t, m = q.i, q.j, q.s, q.t, q.m
+    i, j, s, t, m = q
     return all(
         naive_cap_spans_exactly(g, a, viewer, blocker, interval_vertices(n, lo, hi), excluded)
         for viewer, blocker, lo, hi, excluded in (
@@ -232,24 +231,41 @@ def naive_pinch_certified(g: VisGraph, a: dict, q: PinchedQuadruple, m2: int) ->
 
 
 def full_scan_nc5(g: VisGraph, a: dict) -> list[Violation]:
-    """NC5 violations from every quadruple of pinched_quadruples(g, a),
-    with no filter on the entries scanned: each quadruple is tried with
-    every m2 on the walk from j to s, and certified by dict lookups."""
+    """NC5 violations from every quadruple of naive_pinched_quadruples(g,
+    a), with no filter on the entries scanned: each quadruple is tried
+    with every m2 on the walk from j to s, and certified by dict lookups."""
     out = []
-    for q in pinched_quadruples(g, a):
-        for m2 in interval_vertices(g.n, q.j, q.s):
-            if a.get((q.i, m2)) != q.j or a.get((q.t, m2)) != q.s:
+    for q in naive_pinched_quadruples(g, a):
+        i, j, s, t, m = q
+        for m2 in interval_vertices(g.n, j, s):
+            if a.get((i, m2)) != j or a.get((t, m2)) != s:
                 continue
             if not naive_pinch_certified(g, a, q, m2):
                 continue
             out.append(Violation(
                 "NC5",
-                tuple(sorted(((q.j, q.m), (q.s, q.m), (q.i, m2), (q.t, m2)))),
-                tuple(sorted((q.i, q.j, q.s, q.t))),
-                f"NC5: quadruple ({q.i},{q.j},{q.s},{q.t}) is pinched "
-                f"both ways, via p{q.m} and p{m2}",
+                tuple(sorted(((j, m), (s, m), (i, m2), (t, m2)))),
+                tuple(sorted((i, j, s, t))),
+                f"NC5: quadruple ({i},{j},{s},{t}) is pinched "
+                f"both ways, via p{m} and p{m2}",
             ))
     return out
+
+
+def naive_residual_violations(
+    g: VisGraph, a: dict, separable: list[SeparablePair]
+) -> list[Violation]:
+    """The NC1b, NC4 and NC5 violations of a candidate-drawn assignment
+    by full scans: NC1b at every entry (i, j) -> k with (k, j) -> i, in
+    sorted order; NC4 at every record of separable (the graph's
+    naive_separable_pairs) whose two pairs both carry its blocker; NC5
+    from full_scan_nc5."""
+    nc1b = [_nc1b(i, j, k) for (i, j), k in sorted(a.items()) if a.get((k, j)) == i]
+    nc4 = [
+        _nc4(rec) for rec in separable
+        if a.get(rec.pair_a) == rec.blocker and a.get(rec.pair_b) == rec.blocker
+    ]
+    return nc1b + nc4 + full_scan_nc5(g, a)
 
 
 def naive_entry_requirements(g: VisGraph, a: dict, pair, k: int):
@@ -295,13 +311,14 @@ def naive_find_assignment(g: VisGraph) -> Verdict:
     """find_assignment as a recursive search that copies the assignment
     at every node.  Propagation walks the sorted entries in passes,
     visiting the dirty ones, and every closure is checked with the full
-    residual_violations.  The package's search must match it byte for
-    byte (verdict_to_json)."""
+    naive_residual_violations.  The package's search must match it byte
+    for byte (verdict_to_json)."""
     cand = all_candidates(g)
     for p, cs in cand.items():
         if cs.is_empty:
             return Verdict(False, certificate=EmptyCandidateSet(p))
     order = sorted(cand, key=lambda p: (len(cand[p].members()), p))
+    separable = naive_separable_pairs(g)
     conflicts = []
 
     def propagate(a: dict, new: tuple) -> Violation | None:
@@ -333,7 +350,8 @@ def naive_find_assignment(g: VisGraph) -> Verdict:
                         return _mismatch(req, None)
                     a[req.pair] = req.value
                     added(req.pair)
-        return next(residual_violations(g, a, EntryIndex(g.n, a)), None)
+        residual = naive_residual_violations(g, a, separable)
+        return residual[0] if residual else None
 
     def solve(a: dict, new: tuple) -> dict | None:
         bad = propagate(a, new)

@@ -6,7 +6,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from pseudovis import (
     NotACandidate,
-    PinchedQuadruple,
     SeparablePair,
     UnknownPair,
     VisGraph,
@@ -15,7 +14,6 @@ from pseudovis import (
     check_conditions,
     geometric_blockers,
     invisible_pairs,
-    pinched_quadruples,
     random_simple_polygon,
     separable_pairs,
     visibility_graph,
@@ -24,15 +22,14 @@ from pseudovis.conditions import (
     EntryIndex,
     _Requirement,
     entry_requirements,
-    first_new_residual,
     residual_violations,
 )
-from pseudovis.recognizer import _Trail
 from support import (
     cycle_graph,
     full_scan_nc5,
     naive_entry_requirements,
     naive_pinched_quadruples,
+    naive_residual_violations,
     naive_separable_pairs,
     reflect_graph,
     reflect_index,
@@ -160,14 +157,14 @@ def test_nc4_fires_on_shared_separable_blocker():
 
 
 def test_pinched_trivial(k5, dent5_graph, dent5_poly):
-    assert pinched_quadruples(k5, {}) == []
-    assert pinched_quadruples(dent5_graph, geometric_blockers(dent5_poly)) == []
+    assert naive_pinched_quadruples(k5, {}) == []
+    assert naive_pinched_quadruples(dent5_graph, geometric_blockers(dent5_poly)) == []
 
 
 def test_pinched_hand_built():
     g = cycle_graph(6)
-    quads = pinched_quadruples(g, {(1, 5): 0, (2, 5): 3})
-    assert quads == [PinchedQuadruple(0, 1, 2, 3, 5)]
+    quads = naive_pinched_quadruples(g, {(1, 5): 0, (2, 5): 3})
+    assert quads == [(0, 1, 2, 3, 5)]
 
 
 @st.composite
@@ -187,21 +184,14 @@ def arbitrary_partial_assignments(draw):
 
 
 @settings(max_examples=200)
-@given(arbitrary_partial_assignments())
-def test_pinched_matches_definition_scan(ga):
-    g, a = ga
-    assert pinched_quadruples(g, a) == naive_pinched_quadruples(g, a)
-
-
-@settings(max_examples=200)
 @given(st.one_of(graph_and_assignment(), arbitrary_partial_assignments()))
 def test_requirements_are_open(ga):
     g, a = ga
-    idx = EntryIndex(g.n, a)
+    idx = EntryIndex(g, a)
     for pair, k in a.items():
         if k in pair:
             continue  # entry_requirements assumes k is neither end
-        for req in entry_requirements(g, a, idx, pair, k):
+        for req in entry_requirements(idx, pair, k):
             if isinstance(req, _Requirement):
                 assert a.get(req.pair) != req.value, (pair, k, req)
 
@@ -220,23 +210,21 @@ def test_entry_requirements_match_vertex_scans(ga, assign):
     pair is assigned before the generator resumes, as propagation does."""
     g, a = ga
 
-    def run(reqs, b, idx=None):
+    def run(reqs, b, put):
         out = []
         for req in reqs:
             out.append(req)
             if assign and isinstance(req, _Requirement) and req.pair not in b:
-                b[req.pair] = req.value
-                if idx is not None:
-                    idx.add(*req.pair, req.value)
+                put(req.pair, req.value)
         return out
 
     for pair, k in sorted(a.items()):
         if k in pair:
             continue  # entry_requirements assumes k is neither end
-        b, b_ref = dict(a), dict(a)
-        idx = EntryIndex(g.n, b)
-        got = run(entry_requirements(g, b, idx, pair, k), b, idx)
-        assert got == run(naive_entry_requirements(g, b_ref, pair, k), b_ref)
+        idx, b_ref = EntryIndex(g, a), dict(a)
+        got = run(entry_requirements(idx, pair, k), idx.a, idx.assign)
+        want = run(naive_entry_requirements(g, b_ref, pair, k), b_ref, b_ref.__setitem__)
+        assert got == want
 
 
 def random_chord_graph(rng: random.Random) -> VisGraph:
@@ -254,12 +242,11 @@ def random_chord_graph(rng: random.Random) -> VisGraph:
 def test_first_new_residual_matches_full_scan():
     """On an assignment whose entries before the fresh ones have no NC1b
     or NC4 violation, checking NC1b and NC4 on the fresh entries alone
-    finds the first residual violation of the whole assignment."""
+    finds the first violation of the full residual scans."""
     rng = random.Random(6)
     hits = Counter()
     for _ in range(600):
         g = random_chord_graph(rng)
-        n = g.n
         entries = [
             (pair, rng.choice(cs.members()))
             for pair, cs in all_candidates(g).items()
@@ -269,43 +256,45 @@ def test_first_new_residual_matches_full_scan():
         a, rest = {}, []
         for pair, k in entries:  # a clean base, built greedily
             a[pair] = k
-            residual = residual_violations(g, a, EntryIndex(n, a))
+            residual = residual_violations(g, EntryIndex(g, a), list(a))
             if any(v.condition != "NC5" for v in residual):
                 del a[pair]
                 rest.append((pair, k))
         fresh = rng.sample(rest, min(len(rest), rng.randint(1, 3)))
         a.update(fresh)
-        idx = EntryIndex(n, a)
-        got = first_new_residual(g, a, idx, [pair for pair, _ in fresh])
-        assert got == next(residual_violations(g, a, idx), None), (a, fresh)
+        idx = EntryIndex(g, a)
+        got = next(residual_violations(g, idx, idx.pairs[len(a) - len(fresh):]), None)
+        want = naive_residual_violations(g, a, naive_separable_pairs(g))
+        assert got == (want[0] if want else None), (a, fresh)
         hits[got and got.condition] += 1
     assert hits["NC1b"] and hits["NC4"], hits
 
 
 def test_residual_nc5_matches_full_pinch_scan():
-    """The residual check scans only mutual entries for NC5; on random
-    candidate-drawn partial assignments it must find exactly what a scan
-    of every pinched quadruple finds, in the same order."""
+    """The checker's residual check, every entry fresh, on random
+    candidate-drawn partial assignments: it must find exactly what the
+    full scans find, in the same order.  That is NC1b over the sorted
+    entries, NC4 over the separable pairs and, although NC5 scans only
+    mutual entries, NC5 over every pinched quadruple."""
     rng = random.Random(2)
-    hits = 0
+    hits = Counter()
     for _ in range(2000):
         g = random_chord_graph(rng)
-        n = g.n
         share = rng.random()
         a = {
             pair: rng.choice(cs.members())
             for pair, cs in all_candidates(g).items()
             if not cs.is_empty and rng.random() < share
         }
-        residual = residual_violations(g, a, EntryIndex(n, a))
-        nc5 = [v for v in residual if v.condition == "NC5"]
-        assert nc5 == full_scan_nc5(g, a), a
-        hits += len(nc5)
-    assert hits > 0
+        idx = EntryIndex(g, a)
+        residual = list(residual_violations(g, idx, idx.pairs))
+        assert residual == naive_residual_violations(g, a, naive_separable_pairs(g)), a
+        hits.update(v.condition for v in residual)
+    assert hits["NC1b"] and hits["NC4"] and hits["NC5"], hits
 
 
 def test_residual_nc5_on_the_trail_matches_full_pinch_scan():
-    """NC5 read from the search trail's index, which assign and undo keep
+    """NC5 read from the search state's index, which assign and undo keep
     in step, finds exactly what the dict-based scan of every pinched
     quadruple finds, in the same order."""
     rng = random.Random(11)
@@ -314,17 +303,17 @@ def test_residual_nc5_on_the_trail_matches_full_pinch_scan():
         g = random_chord_graph(rng)
         cand = all_candidates(g)
         entries = [(p, cs.members()) for p, cs in cand.items() if not cs.is_empty]
-        trail = _Trail(g.n)
+        idx = EntryIndex(g, {})
         for _ in range(60):
-            free = [(p, values) for p, values in entries if p not in trail.a]
+            free = [(p, values) for p, values in entries if p not in idx.a]
             if free and rng.random() < 0.85:
                 p, values = rng.choice(free)
-                trail.assign(p, rng.choice(values))
+                idx.assign(p, rng.choice(values))
             else:
-                trail.undo(rng.randint(max(0, len(trail.pairs) - 8), len(trail.pairs)))
-            residual = residual_violations(g, trail.a, trail.idx)
+                idx.undo(rng.randint(max(0, len(idx.pairs) - 8), len(idx.pairs)))
+            residual = residual_violations(g, idx, idx.pairs)
             nc5 = [v for v in residual if v.condition == "NC5"]
-            assert nc5 == full_scan_nc5(g, trail.a), trail.a
+            assert nc5 == full_scan_nc5(g, idx.a), idx.a
             hits += len(nc5)
     assert hits > 0
 
@@ -340,7 +329,7 @@ def test_nc5_fires_on_certified_double_pinch():
 def test_nc5_suspended_until_shadows_pinned():
     g = cycle_graph(6)
     a = {(1, 5): 0, (3, 5): 4, (0, 2): 1, (4, 2): 3}
-    assert pinched_quadruples(g, a) != []
+    assert naive_pinched_quadruples(g, a) != []
     assert not any(v.condition == "NC5" for v in check_conditions(g, a))
 
 
@@ -351,7 +340,7 @@ def test_nested_pockets_are_not_a_double_pinch():
     p = random_simple_polygon(11, 117)
     g = visibility_graph(p)
     a = geometric_blockers(p)
-    quads = {(q.i, q.j, q.s, q.t) for q in pinched_quadruples(g, a)}
+    quads = {q[:4] for q in naive_pinched_quadruples(g, a)}
     assert (0, 1, 6, 7) in quads
     assert a[(0, 2)] == 1 and a[(7, 2)] == 6  # the swapped-role template
     assert check_conditions(g, a) == []

@@ -20,7 +20,6 @@ from pseudovis import (
     visibility_graph,
 )
 from pseudovis.conditions import EntryIndex
-from pseudovis.recognizer import _Trail
 from support import brute_force_accepts, complete_graph, cycle_graph, naive_find_assignment
 
 
@@ -127,20 +126,21 @@ def test_search_agrees_with_brute_force(g):
 @settings(max_examples=100)
 @given(st.data())
 def test_trail_keeps_index_in_step(data):
-    # After every assign or undo, the trail's index equals one rebuilt
-    # from its assignment, whose order is the trail's.
+    # After every assign or undo, the index equals one rebuilt from its
+    # assignment, whose order is the trail's.
     n = data.draw(st.integers(3, 9))
-    trail = _Trail(n)
+    g = cycle_graph(n)
+    idx = EntryIndex(g, {})
     for _ in range(data.draw(st.integers(1, 40))):
-        free = [(v, t) for v in range(n) for t in range(n) if v != t and (v, t) not in trail.a]
+        free = [(v, t) for v in range(n) for t in range(n) if v != t and (v, t) not in idx.a]
         if free and data.draw(st.booleans()):
-            trail.assign(data.draw(st.sampled_from(free)), data.draw(st.integers(0, n - 1)))
+            idx.assign(data.draw(st.sampled_from(free)), data.draw(st.integers(0, n - 1)))
         else:
-            trail.undo(data.draw(st.integers(0, len(trail.pairs))))
-        rebuilt = EntryIndex(n, trail.a)
+            idx.undo(data.draw(st.integers(0, len(idx.pairs))))
+        rebuilt = EntryIndex(g, idx.a)
         for field in EntryIndex.__slots__:
-            assert getattr(trail.idx, field) == getattr(rebuilt, field), field
-        assert list(trail.a) == trail.pairs
+            assert getattr(idx, field) == getattr(rebuilt, field), field
+        assert list(idx.a) == idx.pairs
 
 
 def test_mutated_polygon_graphs():

@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from pseudovis import (
     InvalidAssignment,
-    MalformedInput,
     VEGraph,
     VertexOutsideInterval,
     all_candidates,
@@ -15,9 +14,7 @@ from pseudovis import (
     geometric_blockers,
     is_articulation,
     seen_edge_gaps,
-    ve_from_json,
     ve_graph_geo,
-    ve_to_json,
     visibility_graph,
 )
 from support import articulation_by_incidence, cycle_graph, naive_build_ve
@@ -178,30 +175,3 @@ def test_characterization_on_accepted_assignments(quad4, sample_polygons):
         v = find_assignment(g)
         assert v.accepted
         assert check_ve_characterization(build_ve(g, v.assignment), g) == []
-
-
-def test_ve_json_round_trip(dent5_poly):
-    ve = ve_graph_geo(dent5_poly)
-    assert ve_from_json(ve_to_json(ve)) == ve
-
-
-@pytest.mark.parametrize(
-    "text",
-    [
-        "[]",
-        '{"n": 3, "sees": [[5, 0]]}',
-        '{"n": 3, "sees": [[true, 0.7]]}',
-        '{"n": "3", "sees": []}',
-        '{"n": 3, "sees": [[0, 9]]}',
-        '{"n": 3, "sees": [[0, 1, 2]]}',
-        '{"n": 3, "sees": {"0": 1}}',
-        '{"n": -1, "sees": []}',
-    ],
-    ids=[
-        "top-level-list", "viewer-out-of-range", "bool-and-float", "n-string",
-        "edge-out-of-range", "entry-triple", "sees-object", "n-negative",
-    ],
-)
-def test_ve_from_json_rejects_malformed(text):
-    with pytest.raises(MalformedInput):
-        ve_from_json(text)
