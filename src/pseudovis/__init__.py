@@ -12,7 +12,6 @@ from .blockers import (
     all_candidates,
     assignment_from_json,
     assignment_to_json,
-    candidate_blockers,
 )
 from .conditions import (
     SeparablePair,
@@ -38,7 +37,6 @@ from .errors import (
     VertexOutsideInterval,
 )
 from .geometry import (
-    EdgeHit,
     Polygon,
     check_blocker_uniqueness,
     check_edge_vertex_visibility,
@@ -48,7 +46,6 @@ from .geometry import (
     polygon_from_json,
     polygon_to_json,
     random_simple_polygon,
-    ray_first_exit,
     sees_edge,
     sees_vertex,
     validate_polygon,

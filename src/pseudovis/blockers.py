@@ -8,10 +8,9 @@ candidate separates.  There is at most one candidate per side.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
-from .errors import MalformedInput, NotInvisible
+from .errors import MalformedInput
 from .graph_core import (
     Pair,
     VisGraph,
@@ -20,6 +19,7 @@ from .graph_core import (
     derived_table,
     interval_vertices,
     json_field,
+    parse_json,
     rows,
     strictly_inside,
 )
@@ -77,15 +77,6 @@ def first_seen(g: VisGraph, viewer: int, target: int, step: int) -> int:
     return k
 
 
-def candidate_blockers(g: VisGraph, pair: Pair) -> CandidateSet:
-    """The candidate set of an ordered invisible pair, read from the
-    graph's candidate table (all_candidates)."""
-    cs = all_candidates(g).get(pair)
-    if cs is None:
-        raise NotInvisible(f"({pair[0]},{pair[1]}) is not an invisible pair")
-    return cs
-
-
 @derived_table
 def all_candidates(g: VisGraph) -> dict[Pair, CandidateSet]:
     """Candidate table over every ordered invisible pair, keyed in
@@ -137,7 +128,7 @@ def assignment_to_json(a: Assignment) -> str:
 
 def assignment_from_json(text: str) -> Assignment:
     out: Assignment = {}
-    for row in json_field(json.loads(text), "blockers", list):
+    for row in json_field(parse_json(text), "blockers", list):
         i, j, k = (json_field(row, key, int) for key in ("from", "to", "blocker"))
         if (i, j) in out:
             raise MalformedInput(f"pair ({i},{j}) is listed more than once")

@@ -1,18 +1,16 @@
 """Exact straight-line oracle on integer-coordinate simple polygons.
 
-Every predicate reduces to integer cross-product signs; ray hit points
-are exact rationals.  Polygons must be simple, counterclockwise and in
-general position (no three vertices collinear), which keeps sightlines
-and witness rays away from vertices and makes every boundary interaction
-a proper crossing.
+Every predicate reduces to integer cross-product signs, and a ray's
+boundary hit is an exact rational parameter num/den.  Polygons must be
+simple, counterclockwise and in general position (no three vertices
+collinear), which keeps sightlines and witness rays away from vertices
+and makes every boundary interaction a proper crossing.
 """
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .blockers import all_candidates, first_seen
 from .errors import (
@@ -29,6 +27,7 @@ from .graph_core import (
     interval_edges,
     json_field,
     json_ints,
+    parse_json,
     rows,
     strictly_inside,
 )
@@ -50,14 +49,6 @@ class Polygon:
     @property
     def n(self) -> int:
         return len(self.vertices)
-
-
-@dataclass(frozen=True)
-class EdgeHit:
-    """First boundary edge crossed by a ray, with the exact hit point."""
-
-    edge: int
-    point: tuple[Fraction, Fraction]
 
 
 def orient(a: Point, b: Point, c: Point) -> int:
@@ -123,82 +114,33 @@ def _crossing_edges(pts: list[Point]) -> tuple[int, int] | None:
     return None
 
 
-def _cone_contains(p: Polygon, v: int, d: Point) -> bool:
-    """True iff direction d from vertex v points strictly into the
+def _cone_contains(p: Polygon, v: int, dx: int, dy: int) -> bool:
+    """True iff direction (dx, dy) from vertex v points strictly into the
     interior angle at v.
 
     Directions along an incident edge line resolve by strictness: at a
     convex vertex the extension leaves the polygon, at a reflex vertex it
     enters.
     """
-    n = p.n
-    pv = p.vertices[v]
-    a = _sub(p.vertices[(v + 1) % n], pv)
-    b = _sub(p.vertices[(v - 1) % n], pv)
-    cab = _cross(a, b)
-    cad = _cross(a, d)
-    cdb = _cross(d, b)
-    if cab > 0:
+    pts = p.vertices
+    px, py = pts[v]
+    ax, ay = pts[(v + 1) % p.n]
+    bx, by = pts[v - 1]
+    ax, ay, bx, by = ax - px, ay - py, bx - px, by - py
+    cad = ax * dy - ay * dx
+    cdb = dx * by - dy * bx
+    if ax * by - ay * bx > 0:
         return cad > 0 and cdb > 0
     return cad > 0 or cdb > 0
 
 
-def _sub(a: Point, b: Point) -> Point:
-    return (a[0] - b[0], a[1] - b[1])
-
-
-def _cross(a: Point, b: Point) -> int:
-    return a[0] * b[1] - a[1] * b[0]
-
-
-def sees_vertex(p: Polygon, i: int, j: int) -> bool:
-    """True iff the open segment between vertices i and j stays inside.
-
-    Adjacent vertices always see each other.  Otherwise: the initial
-    direction must lie in the interior cone at i and the segment must not
-    properly cross any edge avoiding both endpoints (general position
-    rules out every other kind of contact).
-    """
-    n = p.n
-    if i == j:
-        raise ValueError("sees_vertex needs two distinct vertices")
-    if (j - i) % n == 1 or (i - j) % n == 1:
-        return True
-    a, b = p.vertices[i], p.vertices[j]
-    if not _cone_contains(p, i, _sub(b, a)):
-        return False
-    for m in range(n):
-        if m in (i, (i - 1) % n, j, (j - 1) % n):
-            continue
-        c, d = p.vertices[m], p.vertices[(m + 1) % n]
-        if _segments_cross(a, b, c, d):
-            return False
-    return True
-
-
-@derived_table
-def visibility_graph(p: Polygon) -> VisGraph:
-    """Ground-truth visibility graph of the polygon."""
-    n = p.n
-    edges = set()
-    for i in range(n):
-        for j in range(i + 1, n):
-            if sees_vertex(p, i, j):
-                edges.add((i, j))
-    return VisGraph(n, frozenset(edges))
-
-
-def _first_exit(p: Polygon, k: int, away: int) -> tuple[int, int, int] | None:
-    """First boundary crossing of the ray from vertex k directed away from
-    vertex ``away``, as (edge, num, den): the ray meets the edge at
-    k + num/den * (k - away), with num, den > 0.  None when the direction
-    leaves the interior cone at k immediately."""
+def _nearest_crossing(p: Polygon, k: int, dx: int, dy: int) -> tuple[int, int, int] | None:
+    """Nearest proper crossing of the ray k + t * (dx, dy), t > 0, with an
+    open edge not incident to vertex k, as (edge, num, den) with
+    t = num/den and num, den > 0; None if the ray crosses no such edge."""
     n = p.n
     pts = p.vertices
     ox, oy = pts[k]
-    dx, dy = ox - pts[away][0], oy - pts[away][1]
-    if not _cone_contains(p, k, (dx, dy)):
-        return None
     best = None
     for m in range(n):
         if m == k or m == (k - 1) % n:
@@ -218,9 +160,51 @@ def _first_exit(p: Polygon, k: int, away: int) -> tuple[int, int, int] | None:
             continue  # crossing behind the origin, or misses the open edge
         if best is None or num * best[2] < best[1] * den:
             best = (m, num, den)
-    if best is None:  # an interior direction must cross the boundary
-        raise OracleContradiction(f"ray from p{k} away from p{away} never exits")
     return best
+
+
+def sees_vertex(p: Polygon, i: int, j: int) -> bool:
+    """True iff the open segment between vertices i and j stays inside:
+    i and j are adjacent, or j lies in the interior cone at i and the ray
+    from i through j crosses no edge before j (parameter 1).  The scan
+    never counts j's two edges, which the ray meets only at their common
+    endpoint j, and in general position no other edge passes through j."""
+    n = p.n
+    if i == j:
+        raise ValueError("sees_vertex needs two distinct vertices")
+    if (j - i) % n == 1 or (i - j) % n == 1:
+        return True
+    (ax, ay), (bx, by) = p.vertices[i], p.vertices[j]
+    dx, dy = bx - ax, by - ay
+    if not _cone_contains(p, i, dx, dy):
+        return False
+    hit = _nearest_crossing(p, i, dx, dy)
+    return hit is None or hit[1] > hit[2]
+
+
+@derived_table
+def visibility_graph(p: Polygon) -> VisGraph:
+    """Ground-truth visibility graph of the polygon."""
+    n = p.n
+    edges = set()
+    for i in range(n):
+        for j in range(i + 1, n):
+            if sees_vertex(p, i, j):
+                edges.add((i, j))
+    return VisGraph(n, frozenset(edges))
+
+
+def _first_exit(p: Polygon, k: int, away: int) -> tuple[int, int, int] | None:
+    """_nearest_crossing of the ray from vertex k directed away from vertex
+    ``away``; None when it leaves the interior cone at k immediately."""
+    (ox, oy), (ax, ay) = p.vertices[k], p.vertices[away]
+    dx, dy = ox - ax, oy - ay
+    if not _cone_contains(p, k, dx, dy):
+        return None
+    hit = _nearest_crossing(p, k, dx, dy)
+    if hit is None:  # an interior direction must cross the boundary
+        raise OracleContradiction(f"ray from p{k} away from p{away} never exits")
+    return hit
 
 
 @derived_table
@@ -234,24 +218,6 @@ def _exit_table(p: Polygon) -> dict[Pair, tuple[int, int, int] | None]:
         for a in range(p.n)
         if r[k] >> a & 1
     }
-
-
-def ray_first_exit(p: Polygon, k: int, away_from: int) -> EdgeHit | None:
-    """Trace the ray from vertex k directed away from vertex away_from.
-
-    Returns None when the direction leaves the interior cone at k
-    immediately, otherwise the first properly crossed open edge with its
-    exact rational hit point.  Requires that away_from sees k.
-    """
-    if not visibility_graph(p).visible(away_from, k):
-        raise ValueError(f"vertex {away_from} does not see vertex {k}")
-    hit = _exit_table(p)[(k, away_from)]
-    if hit is None:
-        return None
-    edge, num, den = hit
-    t = Fraction(num, den)
-    (ox, oy), (ax, ay) = p.vertices[k], p.vertices[away_from]
-    return EdgeHit(edge, (ox + t * (ox - ax), oy + t * (oy - ay)))
 
 
 def _is_witness(p: Polygon, i: int, w: int, m: int) -> bool:
@@ -536,5 +502,5 @@ def polygon_to_json(p: Polygon) -> str:
 
 
 def polygon_from_json(text: str) -> Polygon:
-    vertices = json_field(json.loads(text), "vertices", list)
+    vertices = json_field(parse_json(text), "vertices", list)
     return validate_polygon([json_ints(v, 2, "vertex") for v in vertices])

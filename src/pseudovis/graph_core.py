@@ -158,6 +158,14 @@ def graph_to_json(g: VisGraph) -> str:
     return canonical_json({"n": g.n, "edges": sorted(list(e) for e in g.edges)})
 
 
+def parse_json(text: str):
+    """json.loads, reporting nesting too deep to parse as MalformedInput."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise MalformedInput("JSON nested too deeply") from None
+
+
 def json_field(obj, key: str, kind: type):
     """obj[key] of a parsed JSON object, which must be of exactly the
     given type (so an int field rejects true and 1.5)."""
@@ -177,6 +185,6 @@ def json_ints(row, count: int, what: str) -> tuple[int, ...]:
 
 
 def graph_from_json(text: str) -> VisGraph:
-    obj = json.loads(text)
+    obj = parse_json(text)
     edges = [json_ints(e, 2, "edge") for e in json_field(obj, "edges", list)]
     return validate_graph(json_field(obj, "n", int), edges)

@@ -13,7 +13,6 @@ from fractions import Fraction
 
 from pseudovis import (
     CandidateSet,
-    EdgeHit,
     Polygon,
     VEGraph,
     VertexOutsideInterval,
@@ -33,6 +32,7 @@ from pseudovis.conditions import (
     check_conditions,
     first_violation,
 )
+from pseudovis.geometry import orient
 from pseudovis.recognizer import (
     EmptyCandidateSet,
     ExhaustedSearch,
@@ -418,9 +418,39 @@ def _inside(p: Polygon, x: Fraction, y: Fraction) -> bool:
     return inside
 
 
-def naive_first_exit(p: Polygon, k: int, away: int) -> EdgeHit | None:
+def naive_sees_vertex(p: Polygon, i: int, j: int) -> bool:
+    """Vertex visibility as a segment test: adjacent vertices see each
+    other; otherwise j must lie strictly inside the interior angle at i
+    and the segment ij must cross no edge avoiding both i and j, a proper
+    crossing read from four orientation signs."""
+    n = p.n
+    if (j - i) % n in (1, n - 1):
+        return True
+    pts = p.vertices
+    a, b = pts[i], pts[j]
+    before, after = pts[i - 1], pts[(i + 1) % n]
+    left_of_after = orient(a, after, b) > 0
+    right_of_before = orient(a, b, before) > 0
+    if orient(a, after, before) > 0:  # convex angle at i
+        if not (left_of_after and right_of_before):
+            return False
+    elif not (left_of_after or right_of_before):
+        return False
+    for m in range(n):
+        c, d = pts[m], pts[(m + 1) % n]
+        if {i, j} & {m, (m + 1) % n}:
+            continue
+        o1, o2 = orient(a, b, c), orient(a, b, d)
+        o3, o4 = orient(c, d, a), orient(c, d, b)
+        if o1 * o2 < 0 and o3 * o4 < 0:
+            return False
+    return True
+
+
+def naive_first_exit(p: Polygon, k: int, away: int) -> tuple[int, Fraction] | None:
     """Nearest proper crossing of the ray from vertex k directed away from
-    vertex ``away`` with any edge not incident to k, solved in Fractions.
+    vertex ``away`` with any edge not incident to k, solved in Fractions,
+    as (edge, t): the ray meets the edge at k + t * (k - away).
 
     None when the ray starts outside: its nearest crossing is missing or
     the midpoint between k and that crossing is outside the polygon (the
@@ -447,7 +477,7 @@ def naive_first_exit(p: Polygon, k: int, away: int) -> EdgeHit | None:
     t, m = min(crossings)
     if not _inside(p, ox + t / 2 * dx, oy + t / 2 * dy):
         return None
-    return EdgeHit(m, (ox + t * dx, oy + t * dy))
+    return m, t
 
 
 def reflect_polygon(p: Polygon) -> Polygon:

@@ -2,11 +2,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pseudovis import (
-    NotInvisible,
     all_candidates,
     assignment_from_json,
     assignment_to_json,
-    candidate_blockers,
     geometric_blockers,
     invisible_pairs,
     visibility_graph,
@@ -17,23 +15,16 @@ from support import complete_graph, cycle_graph, naive_candidates, naive_entry_a
 
 
 def test_quad4_candidates(quad4):
-    cs = candidate_blockers(quad4, (0, 2))
-    assert (cs.cw, cs.ccw) == (1, 3)
-    cs = candidate_blockers(quad4, (2, 0))
-    assert (cs.cw, cs.ccw) == (3, 1)
+    table = all_candidates(quad4)
+    assert (table[(0, 2)].cw, table[(0, 2)].ccw) == (1, 3)
+    assert (table[(2, 0)].cw, table[(2, 0)].ccw) == (3, 1)
 
 
 def test_dent5_candidates(dent5_graph):
-    assert candidate_blockers(dent5_graph, (1, 3)).cw == 2
-    assert candidate_blockers(dent5_graph, (1, 3)).ccw == 0
     table = all_candidates(dent5_graph)
+    assert (table[(1, 3)].cw, table[(1, 3)].ccw) == (2, 0)
     for pair in invisible_pairs(dent5_graph):
         assert set(table[pair].members()) == {0, 2}
-
-
-def test_visible_pair_rejected(k5):
-    with pytest.raises(NotInvisible):
-        candidate_blockers(k5, (0, 2))
 
 
 def test_all_candidates_empty_for_complete(k5):
@@ -96,15 +87,15 @@ def graphs(draw):
 
 @given(graphs())
 def test_matches_naive_definition_scan(g):
+    table = all_candidates(g)
     for pair in invisible_pairs(g):
-        assert candidate_blockers(g, pair) == naive_candidates(g, pair)
-    assert list(all_candidates(g)) == invisible_pairs(g)
+        assert table[pair] == naive_candidates(g, pair)
+    assert list(table) == invisible_pairs(g)
 
 
 @given(graphs())
 def test_candidate_always_sees_viewer(g):
-    for pair in invisible_pairs(g):
-        cs = candidate_blockers(g, pair)
+    for pair, cs in all_candidates(g).items():
         for v in cs.members():
             assert g.visible(pair[0], v)
 

@@ -116,6 +116,7 @@ def test_oracle_rejects_collinear(tmp_path, capsys):
 
 TRIANGLE = '{"n": 3, "edges": [[0, 1], [1, 2], [2, 0]]}'
 QUAD_EDGES = "[0, 1], [1, 2], [2, 3], [3, 0]"
+NESTED = "[" * 100_000 + "]" * 100_000  # deeper than the JSON parser recurses
 
 
 def repeated_pair_case() -> list[str]:
@@ -145,12 +146,16 @@ def repeated_pair_case() -> list[str]:
         (["oracle", "visgraph"], ['{"vertices": [[true, 3], [0, 0], [5, 0], [4, 4]]}']),
         (["oracle", "visgraph"], ['{"vertices": [[0, 0], [5, 0], 4]}']),
         (["check"], repeated_pair_case()),
+        (["recognize"], [NESTED]),
+        (["oracle", "visgraph"], [NESTED]),
+        (["check"], [TRIANGLE, NESTED]),
     ],
     ids=[
         "recognize-list", "oracle-list", "check-graph-list", "check-assignment-list",
         "assignment-row-list", "assignment-string-field", "edge-string", "edge-float",
         "edge-bool", "n-float", "edges-object", "edge-triple", "coordinate-bool",
-        "vertex-int", "assignment-repeated-pair",
+        "vertex-int", "assignment-repeated-pair", "graph-nested", "polygon-nested",
+        "assignment-nested",
     ],
 )
 def test_malformed_json_is_input_error(tmp_path, capsys, command, texts):

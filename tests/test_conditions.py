@@ -10,7 +10,6 @@ from pseudovis import (
     UnknownPair,
     VisGraph,
     all_candidates,
-    candidate_blockers,
     check_conditions,
     geometric_blockers,
     invisible_pairs,
@@ -354,10 +353,10 @@ def test_reflection_preserves_verdict_and_flips_sides(dent5_poly, dent5_graph):
     assert mg == reflect_graph(dent5_graph)
     assert check_conditions(mg, geometric_blockers(mirrored)) == []
     n = dent5_graph.n
-    for pair in invisible_pairs(dent5_graph):
-        cs = candidate_blockers(dent5_graph, pair)
+    mirrored_table = all_candidates(mg)
+    for pair, cs in all_candidates(dent5_graph).items():
         mirror_pair = (reflect_index(n, pair[0]), reflect_index(n, pair[1]))
-        ms = candidate_blockers(mg, mirror_pair)
+        ms = mirrored_table[mirror_pair]
         assert ms.cw == (None if cs.ccw is None else reflect_index(n, cs.ccw))
         assert ms.ccw == (None if cs.cw is None else reflect_index(n, cs.cw))
 

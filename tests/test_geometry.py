@@ -21,7 +21,6 @@ from pseudovis import (
     polygon_from_json,
     polygon_to_json,
     random_simple_polygon,
-    ray_first_exit,
     sees_edge,
     sees_vertex,
     separable_pairs,
@@ -31,7 +30,8 @@ from pseudovis import (
     visibility_graph,
 )
 from pseudovis import geometry
-from support import naive_first_exit, reflect_polygon
+from pseudovis.geometry import _exit_table
+from support import naive_first_exit, naive_sees_vertex, reflect_polygon
 
 
 def test_sees_vertex_convex(unit_square):
@@ -71,25 +71,37 @@ def test_visibility_graph_fixtures(unit_square, dent5_poly, dent5_graph):
 
 
 def test_ray_exact_hits(dent5_poly):
-    hit = ray_first_exit(dent5_poly, 2, 1)
-    assert hit.edge == 4
-    assert hit.point == (Fraction(0), Fraction(4))
-    hit = ray_first_exit(dent5_poly, 2, 3)
-    assert hit.edge == 0
-    assert hit.point == (Fraction(3, 2), Fraction(0))
+    table = _exit_table(dent5_poly)
+    edge, num, den = table[(2, 1)]  # p2 + 1 * (p2 - p1) = (0, 4)
+    assert (edge, Fraction(num, den)) == (4, 1)
+    edge, num, den = table[(2, 3)]  # p2 + 1/2 * (p2 - p3) = (3/2, 0)
+    assert (edge, Fraction(num, den)) == (0, Fraction(1, 2))
 
 
 def test_ray_immediate_exit(unit_square):
-    assert ray_first_exit(unit_square, 2, 0) is None
+    assert _exit_table(unit_square)[(2, 0)] is None
 
 
-def test_ray_first_exit_matches_restatement(sample_polygons):
+def test_exit_table_matches_restatement(sample_polygons):
     for p in sample_polygons:
         g = visibility_graph(p)
-        for k in range(p.n):
-            for away in range(p.n):
-                if g.visible(away, k):
-                    assert ray_first_exit(p, k, away) == naive_first_exit(p, k, away)
+        table = _exit_table(p)
+        assert sorted(table) == [
+            (k, a) for k in range(p.n) for a in range(p.n) if g.visible(a, k)
+        ]
+        for (k, away), hit in table.items():
+            exact = None if hit is None else (hit[0], Fraction(hit[1], hit[2]))
+            assert exact == naive_first_exit(p, k, away), (p.vertices, k, away)
+
+
+def test_sees_vertex_matches_restatement(sample_polygons):
+    random_polygons = [random_simple_polygon(n, 500 + n) for n in range(5, 41)]
+    for p in sample_polygons + random_polygons:
+        for i in range(p.n):
+            for j in range(p.n):
+                if i != j:
+                    expected = naive_sees_vertex(p, i, j)
+                    assert sees_vertex(p, i, j) == expected, (p.vertices, i, j)
 
 
 def test_ve_graph_matches_sees_edge():
