@@ -56,8 +56,6 @@ from .graph_core import (
     VisGraph,
     graph_from_json,
     graph_to_json,
-    interval_edges,
-    interval_vertices,
     invisible_pairs,
     validate_graph,
 )

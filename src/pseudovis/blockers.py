@@ -15,9 +15,9 @@ from .graph_core import (
     Pair,
     VisGraph,
     arc_mask,
+    bits_from,
     canonical_json,
     derived_table,
-    interval_vertices,
     json_field,
     parse_json,
     rows,
@@ -102,7 +102,7 @@ def all_candidates(g: VisGraph) -> dict[Pair, CandidateSet]:
         for u, v in zip(seen, seen[1:] + seen[:1]):
             if (v - u) % n < 2 or strictly_inside(n, u, v, i):
                 continue  # no target between u and v, or i's own gap
-            run = interval_vertices(n, (u + 1) % n, (v - 1) % n)
+            run = bits_from(arc_mask(n, (u + 1) % n, (v - 1) % n), (u + 1) % n)
             for k, side, walk in ((u, cw, run), (v, ccw, run[::-1])):
                 near = arc_mask(n, *entry_arcs(n, (i, run[0]), k)[0])
                 far_sees = 0

@@ -9,7 +9,6 @@ identical invocations are byte-identical.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -254,7 +253,7 @@ def main(argv=None) -> int:
     except (GenerationBudgetExceeded, SearchBudgetExceeded) as exc:
         sys.stderr.write(f"budget exceeded: {exc}\n")
         return EXIT_BUDGET
-    except (PseudovisError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (PseudovisError, OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
 

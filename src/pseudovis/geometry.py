@@ -22,9 +22,9 @@ from .errors import (
 from .graph_core import (
     Pair,
     VisGraph,
+    arc_mask,
     canonical_json,
     derived_table,
-    interval_edges,
     json_field,
     json_ints,
     parse_json,
@@ -35,7 +35,8 @@ from .vertex_edge import VEGraph, seen_edge_gaps
 
 Point = tuple[int, int]
 
-MAX_ATTEMPTS = 64  # point samples random_simple_polygon draws before giving up
+MAX_ATTEMPTS = 64  # point samples random_simple_polygon draws per grid width
+GRID_ROUNDS = 4  # grid widths random_simple_polygon tries before giving up
 
 
 @dataclass(frozen=True)
@@ -264,7 +265,7 @@ def ve_graph_geo(p: Polygon) -> VEGraph:
     for i, row in enumerate(counts):
         row[i] = row[i - 1] = 2
     return VEGraph(
-        n, tuple(frozenset(m for m, c in enumerate(row) if c >= 2) for row in counts)
+        n, tuple(sum(1 << m for m, c in enumerate(row) if c >= 2) for row in counts)
     )
 
 
@@ -282,13 +283,12 @@ def designated_blocker_geo(p: Polygon, pair: Pair) -> int:
     if i == j or g.visible(i, j):
         raise NotInvisible(f"({i},{j}) is not an invisible pair")
     k, k2 = first_seen(g, i, j, -1), first_seen(g, i, j, 1)
-    ve = ve_graph_geo(p)
-    seen = [m for m in interval_edges(n, k, k2) if ve.sees(i, m)]
-    if len(seen) != 1:
+    seen = ve_graph_geo(p).rows[i] & arc_mask(n, k, (k2 - 1) % n)
+    if seen.bit_count() != 1:
         raise OracleContradiction(
-            f"viewer {i} sees {len(seen)} edges between p{k} and p{k2}, expected 1"
+            f"viewer {i} sees {seen.bit_count()} edges between p{k} and p{k2}, expected 1"
         )
-    blocker = k if _on_walk(n, j, k2, seen[0]) else k2
+    blocker = k if _on_walk(n, j, k2, seen.bit_length() - 1) else k2
     if not all_candidates(g)[pair].contains(blocker):
         raise OracleContradiction(
             f"geometric blocker p{blocker} of ({i},{j}) is not a candidate"
@@ -321,8 +321,7 @@ def geometric_blockers(p: Polygon) -> dict[Pair, int]:
 
 
 def _on_walk(n: int, a: int, b: int, m: int) -> bool:
-    """True iff edge m lies on the counterclockwise walk from a to b
-    (m in interval_edges(n, a, b))."""
+    """True iff edge m lies on the counterclockwise walk from a to b."""
     return (m - a) % n < (b - a) % n
 
 
@@ -474,26 +473,30 @@ def random_simple_polygon(n: int, seed: int) -> Polygon:
 
     Samples n distinct grid points (resampling until no three are
     collinear), walks them in random order and uncrosses the tour, then
-    fixes the orientation.  Raises GenerationBudgetExceeded when the
-    resampling cap is hit.
+    fixes the orientation.  After MAX_ATTEMPTS samples the same rng
+    carries on in a grid of twice the extent, [0, 8n]^2, and so on for
+    GRID_ROUNDS grids; GenerationBudgetExceeded when the last is spent.
     """
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
     rng = random.Random(f"{n}:{seed}")
     width = 4 * n + 1
-    for _ in range(MAX_ATTEMPTS):
-        cells = rng.sample(range(width * width), n)
-        pts = [(c % width, c // width) for c in cells]
-        if _collinear_triple(pts) is not None:
-            continue
-        rng.shuffle(pts)
-        if not _uncross_tour(pts):
-            continue
-        if signed_area2(tuple(pts)) < 0:
-            pts.reverse()
-        return validate_polygon(pts)
+    for _ in range(GRID_ROUNDS):
+        for _ in range(MAX_ATTEMPTS):
+            cells = rng.sample(range(width * width), n)
+            pts = [(c % width, c // width) for c in cells]
+            if _collinear_triple(pts) is not None:
+                continue
+            rng.shuffle(pts)
+            if not _uncross_tour(pts):
+                continue
+            if signed_area2(tuple(pts)) < 0:
+                pts.reverse()
+            return validate_polygon(pts)
+        width = 2 * width - 1
     raise GenerationBudgetExceeded(
-        f"no valid polygon for n={n} seed={seed} in {MAX_ATTEMPTS} attempts"
+        f"no valid polygon for n={n} seed={seed} in {GRID_ROUNDS} grids"
+        f" of {MAX_ATTEMPTS} attempts"
     )
 
 

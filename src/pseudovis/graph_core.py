@@ -33,29 +33,15 @@ def derived_table(build: Callable) -> Callable:
     return table
 
 
-def ccw_dist(n: int, a: int, b: int) -> int:
-    """Number of counterclockwise steps from a to b."""
-    return (b - a) % n
-
-
 def strictly_inside(n: int, a: int, b: int, x: int) -> bool:
     """True iff x lies on the walk from a to b excluding both endpoints."""
     return 0 < (x - a) % n < (b - a) % n
 
 
-def interval_vertices(n: int, i: int, j: int) -> list[int]:
-    """Vertices of the inclusive counterclockwise walk from i to j.
-
-    The degenerate walk from i to itself contains just i.
-    """
-    if i <= j:
-        return list(range(i, j + 1))
-    return [*range(i, n), *range(j + 1)]
-
-
 def arc_mask(n: int, a: int, b: int) -> int:
-    """Bitmask of interval_vertices(n, a, b): bit v is set iff v lies on
-    the inclusive counterclockwise walk from a to b."""
+    """Bit v is set iff v lies on the inclusive counterclockwise walk from
+    a to b; the walk from a to itself is just a.  Read as edges, bits
+    a..b are the edges of the walk from a to b + 1."""
     if a <= b:
         return (1 << (b + 1)) - (1 << a)
     return ((1 << n) - (1 << a)) | ((1 << (b + 1)) - 1)
@@ -75,14 +61,6 @@ def bits_from(mask: int, start: int) -> list[int]:
             out.append(low.bit_length() - 1)
             m ^= low
     return out
-
-
-def interval_edges(n: int, i: int, j: int) -> list[int]:
-    """Boundary-edge indices of the counterclockwise walk from i to j.
-
-    Edge m joins vertices m and m+1; the walk from i to itself has no edges.
-    """
-    return [(i + d) % n for d in range(ccw_dist(n, i, j))]
 
 
 @dataclass(frozen=True)
@@ -171,6 +149,8 @@ def json_field(obj, key: str, kind: type):
     given type (so an int field rejects true and 1.5)."""
     if type(obj) is not dict:
         raise MalformedInput(f"expected a JSON object, got {obj!r:.60}")
+    if key not in obj:
+        raise MalformedInput(f"missing field {key!r}")
     value = obj[key]
     if type(value) is not kind:
         raise MalformedInput(f"{key!r} must be {kind.__name__}, got {value!r:.60}")

@@ -18,7 +18,6 @@ depth costs no Python recursion.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
 
 from .blockers import Assignment, CandidateSet, all_candidates, assignment_to_dict
 from .conditions import (
@@ -31,7 +30,7 @@ from .conditions import (
     violation_to_dict,
 )
 from .errors import SearchBudgetExceeded
-from .graph_core import Pair, VisGraph, bits_from, canonical_json
+from .graph_core import Pair, VisGraph, canonical_json
 
 DEFAULT_NODE_BUDGET = 1_000_000
 
@@ -70,13 +69,16 @@ def _propagate(
     Only dirty entries are visited: an entry is dirty from its assignment
     or from a change to an entry it reads until its next visit, and a
     clean entry's requirements are all assigned and met.  Visits come in
-    passes.  A pass visits, in sorted order, the dirty entries that
+    passes.  A pass visits, in increasing order, the dirty entries that
     existed when it started; an entry dirtied at or behind the pass's
     cursor, or assigned during the pass, waits for the next pass.  So
-    `now` holds the dirty entries still ahead in this pass and `later`
-    the rest, as entry codes v * n + t.  An entry assigned during the
-    pass goes to `later` at once and stays dirty until visited, so the
-    cursor decides only for entries that existed when the pass started.
+    the bitmask `now` holds the dirty entries still ahead in this pass
+    and `later` the rest, bit v * n + t standing for entry (v, t).  An
+    entry assigned during the pass goes to `later` at once and stays
+    dirty until visited, so the cursor decides only for entries that
+    existed when the pass started.  The readers of an entry
+    (x, y) -> b are NC2 and NC3 case 2 of the entries blocked by y and
+    the NC3 reverse scan of (b, .) -> x.
 
     Returns the first violation hit (forced value outside the candidate
     set, contradiction with an existing entry, or any residual NC1b /
@@ -86,33 +88,16 @@ def _propagate(
     """
     n, a = g.n, idx.a
     by_viewer, by_blocker = idx.by_viewer, idx.by_blocker
-    dirty: set[int] = set()
-    now: list[int] = []
-    later: list[int] = []
-    cursor = -1
-
-    def added(x: int, y: int, b: int) -> None:
-        # Dirty the readers of (x, y) -> b: NC2 and NC3 case 2 of the
-        # entries blocked by y, the NC3 reverse scan of (b, .) -> x.
-        for code in bits_from(by_blocker[y] | by_viewer[b][x] << b * n, 0):
-            if code not in dirty:
-                dirty.add(code)
-                if code > cursor:
-                    heappush(now, code)
-                else:
-                    later.append(code)
-
-    for pair in idx.pairs[mark:]:
-        code = pair[0] * n + pair[1]
-        dirty.add(code)
-        now.append(code)
-        added(*pair, a[pair])
-    heapify(now)
+    now = later = 0
+    for x, y in idx.pairs[mark:]:
+        b = a[x, y]
+        now |= 1 << x * n + y | by_blocker[y] | by_viewer[b][x] << b * n
     while now:
         while now:
-            cursor = heappop(now)
-            dirty.discard(cursor)
-            pair = divmod(cursor, n)
+            low = now & -now
+            now ^= low
+            ahead = -low << 1  # the codes above the entry being visited
+            pair = divmod(low.bit_length() - 1, n)
             for req in entry_requirements(idx, pair, a[pair]):
                 if isinstance(req, Violation):
                     return req
@@ -122,12 +107,12 @@ def _propagate(
                 if not cand[req.pair].contains(req.value):
                     return _mismatch(req, None)
                 idx.assign(req.pair, req.value)
-                code = req.pair[0] * n + req.pair[1]
-                dirty.add(code)
-                later.append(code)
-                added(*req.pair, req.value)
-        now, later, cursor = later, [], -1
-        heapify(now)
+                (x, y), b = req.pair, req.value
+                later |= 1 << x * n + y
+                readers = (by_blocker[y] | by_viewer[b][x] << b * n) & ~(now | later)
+                now |= readers & ahead
+                later |= readers & ~ahead
+        now, later = later, 0
     return next(residual_violations(g, idx, idx.pairs[mark:]), None)
 
 

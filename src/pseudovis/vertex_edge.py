@@ -17,9 +17,8 @@ from .graph_core import (
     Pair,
     VisGraph,
     arc_mask,
+    bits_from,
     canonical_json,
-    ccw_dist,
-    interval_vertices,
     strictly_inside,
 )
 from .recognizer import verify
@@ -27,14 +26,14 @@ from .recognizer import verify
 
 @dataclass(frozen=True)
 class VEGraph:
-    """Boolean vertex-sees-edge relation; rows[i] holds the edge indices
-    vertex i sees."""
+    """Boolean vertex-sees-edge relation; bit m of rows[i] is set iff
+    vertex i sees edge m."""
 
     n: int
-    rows: tuple[frozenset[int], ...]
+    rows: tuple[int, ...]
 
     def sees(self, i: int, m: int) -> bool:
-        return m in self.rows[i]
+        return self.rows[i] >> m & 1 == 1
 
 
 @dataclass(frozen=True)
@@ -42,8 +41,6 @@ class CharacterizationFailure:
     vertex: int
     edge_before: int
     edge_after: int
-    branch_near: bool
-    branch_far: bool
 
 
 def build_ve(g: VisGraph, a: Assignment, check: bool = True) -> VEGraph:
@@ -66,11 +63,10 @@ def build_ve(g: VisGraph, a: Assignment, check: bool = True) -> VEGraph:
         if b == i or b == t:
             raise InvalidAssignment(f"p{b} cannot block ({i},{t}): it is an end")
         # edges lo..hi-1, with blocker and target taken counterclockwise from i
-        lo, hi = (b, t) if ccw_dist(n, i, b) < ccw_dist(n, i, t) else (t, b)
+        lo, hi = (b, t) if strictly_inside(n, i, t, b) else (t, b)
         hidden[i] |= arc_mask(n, lo, (hi - 1) % n)
-    return VEGraph(
-        n, tuple(frozenset(m for m in range(n) if not h >> m & 1) for h in hidden)
-    )
+    full = (1 << n) - 1
+    return VEGraph(n, tuple(full & ~h for h in hidden))
 
 
 def is_articulation(
@@ -86,8 +82,8 @@ def is_articulation(
     n = g.n
     if not strictly_inside(n, start, end, v):
         raise VertexOutsideInterval(f"p{v} is not strictly inside the walk {start}..{end}")
-    for s in interval_vertices(n, start, (v - 1) % n):
-        for t in interval_vertices(n, (v + 1) % n, end):
+    for s in bits_from(arc_mask(n, start, (v - 1) % n), 0):
+        for t in bits_from(arc_mask(n, (v + 1) % n, end), 0):
             cs = candidates.get((s, t))
             if cs is not None and cs.contains(v):
                 return True
@@ -97,16 +93,8 @@ def is_articulation(
 def seen_edge_gaps(ve: VEGraph, k: int) -> list[tuple[int, int]]:
     """Maximal runs of unseen edges in row k, each reported as the pair
     (seen edge before the run, seen edge after the run) in cyclic order."""
-    n = ve.n
-    seen = sorted(ve.rows[k])
-    if len(seen) == n:
-        return []
-    gaps = []
-    for idx, a in enumerate(seen):
-        b = seen[(idx + 1) % len(seen)]
-        if ccw_dist(n, a, b) >= 2:
-            gaps.append((a, b))
-    return gaps
+    seen = bits_from(ve.rows[k], 0)
+    return [(a, b) for a, b in zip(seen, seen[1:] + seen[:1]) if (b - a) % ve.n >= 2]
 
 
 def check_ve_characterization(
@@ -129,18 +117,18 @@ def check_ve_characterization(
     failures = []
     for k in range(n):
         for i, j in seen_edge_gaps(ve, k):
-            if ccw_dist(n, j, i) == 1:
+            if (i - j) % n == 1:
                 continue  # bounding edges share a vertex
             near = ve.sees((i + 1) % n, j) and is_articulation(
                 g, cand, k, j, (i + 1) % n
             )
             far = ve.sees(j, i) and is_articulation(g, cand, (i + 1) % n, k, j)
             if near == far:
-                failures.append(CharacterizationFailure(k, i, j, near, far))
+                failures.append(CharacterizationFailure(k, i, j))
     return failures
 
 
 def ve_to_json(ve: VEGraph) -> str:
-    entries = sorted((i, m) for i in range(ve.n) for m in ve.rows[i])
-    return canonical_json({"n": ve.n, "sees": [list(e) for e in entries]})
+    entries = [[i, m] for i in range(ve.n) for m in bits_from(ve.rows[i], 0)]
+    return canonical_json({"n": ve.n, "sees": entries})
 

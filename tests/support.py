@@ -39,13 +39,7 @@ from pseudovis.recognizer import (
     Verdict,
     verify,
 )
-from pseudovis.graph_core import (
-    ccw_dist,
-    interval_edges,
-    interval_vertices,
-    invisible_pairs,
-    strictly_inside,
-)
+from pseudovis.graph_core import invisible_pairs, strictly_inside
 
 
 def cycle_graph(n: int, chords=()) -> VisGraph:
@@ -54,6 +48,26 @@ def cycle_graph(n: int, chords=()) -> VisGraph:
 
 def complete_graph(n: int) -> VisGraph:
     return validate_graph(n, [[i, j] for i in range(n) for j in range(i + 1, n)])
+
+
+def ccw_dist(n: int, a: int, b: int) -> int:
+    """Number of counterclockwise steps from a to b."""
+    return (b - a) % n
+
+
+def interval_vertices(n: int, i: int, j: int) -> list[int]:
+    """Vertices of the inclusive counterclockwise walk from i to j, in
+    walk order; the degenerate walk from i to itself contains just i."""
+    if i <= j:
+        return list(range(i, j + 1))
+    return [*range(i, n), *range(j + 1)]
+
+
+def interval_edges(n: int, i: int, j: int) -> list[int]:
+    """Boundary-edge indices of the counterclockwise walk from i to j, in
+    walk order (edge m joins vertices m and m+1); the walk from i to
+    itself has no edges."""
+    return [(i + d) % n for d in range(ccw_dist(n, i, j))]
 
 
 def in_interval(n: int, a: int, b: int, x: int) -> bool:
@@ -116,8 +130,8 @@ def naive_build_ve(g: VisGraph, a: dict) -> VEGraph:
         return in_interval(n, lo, hi, m) and in_interval(n, lo, hi, (m + 1) % n)
 
     return VEGraph(n, tuple(
-        frozenset(
-            m for m in range(n)
+        sum(
+            1 << m for m in range(n)
             if not any(v == i and hides(i, t, b, m) for (v, t), b in a.items())
         )
         for i in range(n)

@@ -10,8 +10,13 @@ from pseudovis import (
     visibility_graph,
 )
 from pseudovis.blockers import entry_arcs
-from pseudovis.graph_core import interval_vertices
-from support import complete_graph, cycle_graph, naive_candidates, naive_entry_arcs
+from support import (
+    complete_graph,
+    cycle_graph,
+    interval_vertices,
+    naive_candidates,
+    naive_entry_arcs,
+)
 
 
 def test_quad4_candidates(quad4):

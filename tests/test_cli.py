@@ -13,6 +13,7 @@ from pseudovis import (
     validate_polygon,
     visibility_graph,
 )
+from pseudovis import recognizer
 from pseudovis.cli import check_polygon, main
 from pseudovis.geometry import _designated_blockers, _exit_table
 from pseudovis.graph_core import rows
@@ -165,6 +166,34 @@ def test_malformed_json_is_input_error(tmp_path, capsys, command, texts):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "command, texts, key",
+    [
+        (["recognize"], ['{"edges": [[0, 1], [1, 2], [2, 0]]}'], "n"),
+        (["recognize"], ['{"n": 3}'], "edges"),
+        (["check"], [TRIANGLE, '{"blockers": [{"from": 0, "to": 2}]}'], "blocker"),
+        (["oracle", "visgraph"], ["{}"], "vertices"),
+    ],
+)
+def test_missing_field_is_named_input_error(tmp_path, capsys, command, texts, key):
+    paths = [write(tmp_path, f"in{k}.json", text) for k, text in enumerate(texts)]
+    code = main(command + paths)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: missing field {key!r}\n"
+
+
+def test_key_error_from_a_bug_is_not_an_input_error(monkeypatch, tmp_path):
+    def broken(g, node_budget):
+        raise KeyError("bug")
+
+    monkeypatch.setattr(recognizer, "find_assignment", broken)
+    path = write(tmp_path, "k5.json", graph_to_json(complete_graph(5)))
+    with pytest.raises(KeyError):
+        main(["recognize", path])
 
 
 def test_check_polygon_keeps_no_reference():

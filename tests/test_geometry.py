@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from pseudovis import (
     DegenerateInput,
+    GenerationBudgetExceeded,
     NotInvisible,
     OracleContradiction,
     assignment_to_json,
@@ -171,8 +172,8 @@ def test_geometric_blockers_convex(unit_square):
 
 def test_ve_rows(dent5_poly):
     ve = ve_graph_geo(dent5_poly)
-    assert sorted(ve.rows[1]) == [0, 1, 4]
-    assert sorted(ve.rows[3]) == [0, 2, 3, 4]
+    assert ve.rows[1] == 0b10011  # edges 0, 1 and 4
+    assert ve.rows[3] == 0b11101  # edges 0, 2, 3 and 4
 
 
 def test_generator_deterministic():
@@ -187,6 +188,21 @@ def test_generator_output_valid():
     assert validate_polygon(p.vertices) == p
     tri = random_simple_polygon(3, 0)
     assert tri.n == 3
+
+
+def test_generator_widens_its_grid():
+    # Every sample of (64, 2) in the [0, 256]^2 grid has three collinear
+    # points; the same rng then finds this polygon in [0, 512]^2.
+    p = random_simple_polygon(64, 2)
+    assert max(max(v) for v in p.vertices) > 4 * 64
+    digest = hashlib.sha256(polygon_to_json(p).encode()).hexdigest()
+    assert digest == "346bc9abd0354920f064e674427fa86cca095bc4c87f7917688bab1bd258b3f6"
+
+
+def test_generator_budget_bounds_its_grids(monkeypatch):
+    monkeypatch.setattr(geometry, "GRID_ROUNDS", 1)
+    with pytest.raises(GenerationBudgetExceeded):
+        random_simple_polygon(64, 2)
 
 
 @settings(max_examples=25, deadline=None)

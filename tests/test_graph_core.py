@@ -12,8 +12,6 @@ from pseudovis import (
     geometric_blockers,
     graph_from_json,
     graph_to_json,
-    interval_edges,
-    interval_vertices,
     invisible_pairs,
     separable_pairs,
     validate_graph,
@@ -21,7 +19,13 @@ from pseudovis import (
 )
 from pseudovis.geometry import _designated_blockers
 from pseudovis.graph_core import arc_mask, rows, strictly_inside
-from support import complete_graph, cycle_graph, in_interval
+from support import (
+    complete_graph,
+    cycle_graph,
+    in_interval,
+    interval_edges,
+    interval_vertices,
+)
 
 
 def test_interval_predicates_match_walks():

@@ -28,8 +28,8 @@ def test_k5_all_true(k5):
 def test_dent5_rows(dent5_graph, dent5_poly):
     a = geometric_blockers(dent5_poly)
     ve = build_ve(dent5_graph, a)
-    assert sorted(ve.rows[1]) == [0, 1, 4]
-    assert sorted(ve.rows[3]) == [0, 2, 3, 4]
+    assert ve.rows[1] == 0b10011  # edges 0, 1 and 4
+    assert ve.rows[3] == 0b11101  # edges 0, 2, 3 and 4
 
 
 def test_matches_geometric_relation(dent5_graph, dent5_poly, sample_polygons):
@@ -48,7 +48,7 @@ def test_incident_edges_always_seen(sample_polygons):
         n = g.n
         for i in range(n):
             assert ve.sees(i, i) and ve.sees(i, (i - 1) % n)
-            assert len(ve.rows[i]) >= 2
+            assert ve.rows[i].bit_count() >= 2
 
 
 def test_edge_vertex_echo(sample_polygons):
@@ -124,6 +124,8 @@ def test_gap_enumeration(dent5_graph, dent5_poly):
     ve = build_ve(dent5_graph, geometric_blockers(dent5_poly))
     assert seen_edge_gaps(ve, 1) == [(1, 4)]
     assert seen_edge_gaps(ve, 0) == []
+    # the gap from the last seen edge wraps around to the first
+    assert seen_edge_gaps(VEGraph(5, (0b01010,)), 0) == [(1, 3), (3, 1)]
 
 
 def test_characterization_passes_on_dent5(dent5_graph, dent5_poly):
@@ -134,7 +136,7 @@ def test_characterization_passes_on_dent5(dent5_graph, dent5_poly):
 def test_characterization_detects_mutation(dent5_graph, dent5_poly):
     ve = ve_graph_geo(dent5_poly)
     rows = list(ve.rows)
-    rows[2] = rows[2] - {4}  # drop sees(2, e4): the near branch loses its witness
+    rows[2] &= ~(1 << 4)  # drop sees(2, e4): the near branch loses its witness
     broken = VEGraph(ve.n, tuple(rows))
     failures = check_ve_characterization(broken, dent5_graph)
     assert any((f.vertex, f.edge_before, f.edge_after) == (1, 1, 4) for f in failures)
