@@ -66,21 +66,43 @@ def entry_arcs(n: int, pair: Pair, k: int) -> tuple[Pair, Pair]:
     return ((k + 1) % n, i), (j, (k - 1) % n)
 
 
-def first_seen(g: VisGraph, viewer: int, target: int, step: int) -> int:
-    """First vertex the viewer sees walking from the target, one step of
-    -1 (clockwise) or +1 (counterclockwise) at a time.  The viewer sees
-    both its neighbours, so the walk always ends."""
-    row = rows(g)[viewer]
-    k = (target + step) % g.n
+def first_seen(n: int, row: int, target: int, step: int) -> int:
+    """First vertex the viewer with rows(g) mask row sees walking from the
+    target, one step of -1 (clockwise) or +1 (counterclockwise) at a time.
+    The viewer sees both its neighbours, so the walk always ends."""
+    k = (target + step) % n
     while not row >> k & 1:
-        k = (k + step) % g.n
+        k = (k + step) % n
     return k
 
 
+class CandidateTable:
+    """The candidates of the ordered pairs by entry code c = v * n + t, the
+    codes of conditions.EntryIndex: bit c of inv is set iff (v, t) is an
+    invisible pair, cw[c] and ccw[c] are its candidates as in CandidateSet,
+    and bit c of mask[k] is set iff k is one of them."""
+
+    __slots__ = ("n", "inv", "cw", "ccw", "mask")
+
+    def __init__(self, n: int, inv: int, cw: list, ccw: list, mask: list[int]) -> None:
+        self.n, self.inv, self.cw, self.ccw, self.mask = n, inv, cw, ccw, mask
+
+    def code(self, pair: Pair) -> int | None:
+        """pair's code if it is an ordered invisible pair, else None.  Its
+        ends are range-checked first, so no other pair aliases a code."""
+        i, j = pair
+        n = self.n
+        if 0 <= i < n and 0 <= j < n and self.inv >> i * n + j & 1:
+            return i * n + j
+        return None
+
+    def admits(self, c: int, k: int) -> bool:
+        return 0 <= k < self.n and self.mask[k] >> c & 1 == 1
+
+
 @derived_table
-def all_candidates(g: VisGraph) -> dict[Pair, CandidateSet]:
-    """Candidate table over every ordered invisible pair, keyed in
-    lexicographic order.
+def candidate_table(g: VisGraph) -> CandidateTable:
+    """The graph's candidate table, compiled over entry codes.
 
     One sweep per viewer i: each run of targets between consecutive
     vertices u, v that i sees has cw walk end u and ccw walk end v, which
@@ -89,32 +111,41 @@ def all_candidates(g: VisGraph) -> dict[Pair, CandidateSet]:
     far arc grows by one target at a time, so one pass from each end
     ORs up the far arc's neighbours and decides the whole run.
 
-    The dict is the graph's shared table: callers must not mutate it.
-    Pairs whose candidate set is empty are representable here and make
-    recognition fail immediately downstream, since assignments may only
-    draw from candidate sets.
+    A pair whose candidate set is empty makes recognition fail
+    immediately downstream, since assignments may only draw from
+    candidate sets.
     """
     n, r = g.n, rows(g)
-    table = {}
+    cw, ccw, mask = [None] * (n * n), [None] * (n * n), [0] * n
+    inv = 0
     for i in range(n):
-        seen = [v for v in range(n) if r[i] >> v & 1]
-        cw, ccw = [None] * n, [None] * n
+        base = i * n
+        inv |= ((1 << n) - 1 & ~r[i] & ~(1 << i)) << base
+        seen = bits_from(r[i], 0)
         for u, v in zip(seen, seen[1:] + seen[:1]):
             if (v - u) % n < 2 or strictly_inside(n, u, v, i):
                 continue  # no target between u and v, or i's own gap
             run = bits_from(arc_mask(n, (u + 1) % n, (v - 1) % n), (u + 1) % n)
             for k, side, walk in ((u, cw, run), (v, ccw, run[::-1])):
                 near = arc_mask(n, *entry_arcs(n, (i, run[0]), k)[0])
-                far_sees = 0
+                far_sees = got = 0
                 for j in walk:
                     far_sees |= r[j]
                     if far_sees & near:
                         break
-                    side[j] = k
-        for j in range(n):
-            if j != i and not r[i] >> j & 1:
-                table[(i, j)] = CandidateSet(cw[j], ccw[j])
-    return table
+                    side[base + j] = k
+                    got |= 1 << j
+                mask[k] |= got << base
+    return CandidateTable(n, inv, cw, ccw, mask)
+
+
+@derived_table
+def all_candidates(g: VisGraph) -> dict[Pair, CandidateSet]:
+    """candidate_table decoded: the candidate set of every ordered
+    invisible pair, keyed in lexicographic order.  The dict is the
+    graph's shared table: callers must not mutate it."""
+    t = candidate_table(g)
+    return {divmod(c, g.n): CandidateSet(t.cw[c], t.ccw[c]) for c in bits_from(t.inv, 0)}
 
 
 def assignment_to_dict(a: Assignment) -> dict:

@@ -14,13 +14,11 @@ recognizer applies them as forced assignments instead).
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Iterator, NamedTuple
 
-from .blockers import Assignment, CandidateSet, all_candidates, entry_arcs
+from .blockers import Assignment, CandidateSet, candidate_table, entry_arcs
 from .errors import NotACandidate, UnknownPair
 from .graph_core import (
     Pair,
@@ -205,23 +203,56 @@ def entry_requirements(
 
 
 @derived_table
+def nc4_partners(g: VisGraph) -> dict[int, tuple[int, int]]:
+    """NC4's separable pairs as masks over entry codes, in closed form.
+
+    The entry c -> k with a partner has the key k * n * n + c, keys
+    ascending.  Its ahead holds the c2 of the separable pairs (c, c2) of
+    k, those k is a candidate of with both ends on c's far arc A, that is
+    mask[k] & A * spread(A) (spread(A) sets bit x * n for each x in A, and
+    A < 2**n: no carries); its behind holds the codes whose ahead holds c.
+    Far arcs at k run from k + 1 (k a cw candidate) or to k - 1 (a ccw
+    one), so every mask is a walk grown from k: c lies on the far arc of
+    a cw-candidate pair of k iff that pair lies on the walk from c's end
+    before k to k - 1, and of a ccw-candidate one iff it lies on the walk
+    from k + 1 to c's end after k.
+    """
+    n, t = g.n, candidate_table(g)
+    nn, cycle = n * n, list(range(n)) * 2
+    partners = {}
+    for k, mk in enumerate(t.mask):
+        # after[x], before[x]: mk's codes on the walk k + 1 .. x, x .. k - 1
+        after, before = [0] * n, [0] * n
+        for grown, walk in ((after, cycle[k + 1:k + n]), (before, cycle[k + n - 1:k:-1])):
+            arc = spread = 0
+            for x in walk:
+                arc |= 1 << x
+                spread |= 1 << x * n
+                grown[x] = arc * spread & mk
+        cws = sum(1 << c for c in bits_from(mk, 0) if t.cw[c] == k)
+        ccws = mk & ~cws
+        for c in bits_from(mk, 0):
+            i, j = divmod(c, n)
+            if cws >> c & 1:  # i before k, j after it
+                ahead, behind = after[j], cws & before[i] | ccws & after[j]
+            else:  # j before k, i after it
+                ahead, behind = before[j], cws & before[j] | ccws & after[i]
+            if ahead or behind:
+                partners[k * nn + c] = ahead, behind
+    return partners
+
+
+@derived_table
 def separable_pairs(g: VisGraph) -> list[SeparablePair]:
-    """All separable invisible pairs: a shared candidate blocker with one
-    pair lying entirely on the arc beyond it, sorted by (blocker, pair_a,
-    pair_b).  The list is the graph's shared table: do not mutate it."""
-    by_blocker: dict[int, list[Pair]] = defaultdict(list)
-    for pair, cs in all_candidates(g).items():  # lexicographic pair order
-        for k in cs.members():
-            by_blocker[k].append(pair)
-    recs = []
-    for k, pairs in sorted(by_blocker.items()):
-        for pair_a in pairs:
-            _, far = entry_arcs(g.n, pair_a, k)
-            arc = arc_mask(g.n, *far) | 1 << k
-            for pair_b in pairs:
-                if pair_b != pair_a and arc >> pair_b[0] & arc >> pair_b[1] & 1:
-                    recs.append(SeparablePair(k, pair_a, pair_b))
-    return recs
+    """nc4_partners decoded: every separable pair of invisible pairs, a
+    shared candidate blocker with one pair entirely on the arc beyond it,
+    by (blocker, pair_a, pair_b).  The graph's shared list: do not mutate."""
+    n = g.n
+    return [
+        SeparablePair(key // (n * n), divmod(key % (n * n), n), divmod(c2, n))
+        for key, (ahead, _) in nc4_partners(g).items()
+        for c2 in bits_from(ahead, 0)
+    ]
 
 
 def _cap_spans_exactly(
@@ -268,11 +299,12 @@ def _pinch_certified(idx: EntryIndex, i: int, j: int, s: int, t: int, m: int) ->
 def _violations_iter(
     g: VisGraph, a: Assignment, cand: dict[Pair, CandidateSet] | None
 ) -> Iterator[Violation]:
-    cand = all_candidates(g) if cand is None else cand
+    t = candidate_table(g)
     for pair, k in a.items():
-        if pair not in cand:
+        c = t.code(pair)
+        if (c is None) if cand is None else (pair not in cand):
             raise UnknownPair(f"{pair} is not an invisible pair")
-        if not cand[pair].contains(k):
+        if not (t.admits(c, k) if cand is None else cand[pair].contains(k)):
             raise NotACandidate(f"p{k} is not a candidate for {pair}")
 
     idx = EntryIndex(g, a)
@@ -296,13 +328,13 @@ def _nc1b(i: int, j: int, k: int) -> Violation:
     )
 
 
-def _nc4(rec: SeparablePair) -> Violation:
-    lo, hi = sorted((rec.pair_a, rec.pair_b))
+def _nc4(b: int, pair_a: Pair, pair_b: Pair) -> Violation:
+    lo, hi = sorted((pair_a, pair_b))
     return Violation(
         "NC4",
         (lo, hi),
-        (rec.blocker,),
-        f"NC4: p{rec.blocker} assigned to both separable pairs "
+        (b,),
+        f"NC4: p{b} assigned to both separable pairs "
         f"({lo[0]},{lo[1]}) and ({hi[0]},{hi[1]})",
     )
 
@@ -321,23 +353,34 @@ def residual_violations(
     the violations are the same as with every entry fresh.  NC5 is
     scanned in full.
     """
-    a = idx.a
+    a, n, by_blocker = idx.a, idx.n, idx.by_blocker
+    partners, nn = nc4_partners(g), n * n
     # NC1 part (2): the roles of viewer and blocker cannot swap.  Both
     # entries of a swap report it.
     swapped = set()
+    hot: dict[int, int] = {}  # hot[b]: the fresh codes -> b with an NC4 partner
     for x, y in fresh:
-        k = a[(x, y)]
+        k, c = a[(x, y)], x * n + y
+        ahead_behind = partners.get(k * nn + c)
+        if ahead_behind and (ahead_behind[0] | ahead_behind[1]) & by_blocker[k]:
+            hot[k] = hot.get(k, 0) | 1 << c
         if a.get((k, y)) == x:
             swapped.update(((x, y), (k, y)))
     for i, j in sorted(swapped):
         yield _nc1b(i, j, a[(i, j)])
 
-    recs, key = separable_pairs(g), attrgetter("blocker")
-    for b in sorted({a[e] for e in fresh}):
-        lo = bisect_left(recs, b, key=key)
-        for rec in recs[lo:bisect_right(recs, b, lo, key=key)]:
-            if a.get(rec.pair_a) == b and a.get(rec.pair_b) == b:
-                yield _nc4(rec)
+    # NC4 in the order of separable_pairs, on the pairs (c, c2) of blocker
+    # b with c or c2 fresh: c runs over the hot codes and those behind
+    # them, c2 over the codes ahead of c, only hot ones unless c is hot.
+    for b in sorted(hot):
+        mine, hot_b = by_blocker[b], hot[b]
+        heads = hot_b
+        for c in bits_from(hot_b, 0):
+            heads |= partners[b * nn + c][1] & mine
+        for c in bits_from(heads, 0):
+            tails = partners[b * nn + c][0] & (mine if hot_b >> c & 1 else hot_b)
+            for c2 in bits_from(tails, 0):
+                yield _nc4(b, divmod(c, n), divmod(c2, n))
 
     yield from _nc5_violations(idx)
 

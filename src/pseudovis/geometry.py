@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .blockers import all_candidates, first_seen
+from .blockers import CandidateTable, candidate_table, first_seen
 from .errors import (
     DegenerateInput,
     GenerationBudgetExceeded,
@@ -23,6 +23,7 @@ from .graph_core import (
     Pair,
     VisGraph,
     arc_mask,
+    bits_from,
     canonical_json,
     derived_table,
     json_field,
@@ -278,18 +279,24 @@ def designated_blocker_geo(p: Polygon, pair: Pair) -> int:
     blocker.  Any other outcome raises OracleContradiction.
     """
     g = visibility_graph(p)
-    n = g.n
     i, j = pair
     if i == j or g.visible(i, j):
         raise NotInvisible(f"({i},{j}) is not an invisible pair")
-    k, k2 = first_seen(g, i, j, -1), first_seen(g, i, j, 1)
-    seen = ve_graph_geo(p).rows[i] & arc_mask(n, k, (k2 - 1) % n)
+    return _designated(rows(g), ve_graph_geo(p).rows, candidate_table(g), pair)
+
+
+def _designated(r: tuple, ve_rows: tuple, t: CandidateTable, pair: Pair) -> int:
+    """designated_blocker_geo of an invisible pair, from the polygon's tables."""
+    n = t.n
+    i, j = pair
+    k, k2 = first_seen(n, r[i], j, -1), first_seen(n, r[i], j, 1)
+    seen = ve_rows[i] & arc_mask(n, k, (k2 - 1) % n)
     if seen.bit_count() != 1:
         raise OracleContradiction(
             f"viewer {i} sees {seen.bit_count()} edges between p{k} and p{k2}, expected 1"
         )
     blocker = k if _on_walk(n, j, k2, seen.bit_length() - 1) else k2
-    if not all_candidates(g)[pair].contains(blocker):
+    if not t.admits(i * n + j, blocker):
         raise OracleContradiction(
             f"geometric blocker p{blocker} of ({i},{j}) is not a candidate"
         )
@@ -301,10 +308,13 @@ def _designated_blockers(p: Polygon) -> dict[Pair, int | OracleContradiction]:
     """designated_blocker_geo's outcome for every ordered invisible pair:
     the blocker, or the contradiction it raised, kept without its
     traceback so the table holds no frame."""
+    g = visibility_graph(p)
+    r, ve_rows, t = rows(g), ve_graph_geo(p).rows, candidate_table(g)
     outcomes: dict[Pair, int | OracleContradiction] = {}
-    for pair in all_candidates(visibility_graph(p)):
+    for c in bits_from(t.inv, 0):
+        pair = divmod(c, t.n)
         try:
-            outcomes[pair] = designated_blocker_geo(p, pair)
+            outcomes[pair] = _designated(r, ve_rows, t, pair)
         except OracleContradiction as exc:
             outcomes[pair] = exc.with_traceback(None)
     return outcomes
@@ -336,7 +346,7 @@ def check_blocker_uniqueness(p: Polygon) -> list[str]:
     the hit edge must also fall between target and blocker (the two exit
     conventions must agree).
     """
-    g = visibility_graph(p)
+    r = rows(visibility_graph(p))
     table = _exit_table(p)
     n = p.n
     # rays[i]: (v, exit edge) for each v that i sees whose ray away from i
@@ -365,7 +375,7 @@ def check_blocker_uniqueness(p: Polygon) -> list[str]:
             # between the first vertex the viewer sees walking clockwise
             # from the target and the blocker itself.
             hit = table[(algo, i)]
-            if hit is None or not _on_walk(n, first_seen(g, i, j, -1), algo, hit[0]):
+            if hit is None or not _on_walk(n, first_seen(n, r[i], j, -1), algo, hit[0]):
                 failures.append(
                     f"pair ({i},{j}): exit conventions disagree at p{algo}"
                 )

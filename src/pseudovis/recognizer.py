@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .blockers import Assignment, CandidateSet, all_candidates, assignment_to_dict
+from .blockers import Assignment, assignment_to_dict, candidate_table
 from .conditions import (
     EntryIndex,
     Violation,
@@ -30,7 +30,7 @@ from .conditions import (
     violation_to_dict,
 )
 from .errors import SearchBudgetExceeded
-from .graph_core import Pair, VisGraph, canonical_json
+from .graph_core import Pair, VisGraph, bits_from, canonical_json
 
 DEFAULT_NODE_BUDGET = 1_000_000
 
@@ -60,10 +60,10 @@ class Verdict:
 
 
 def _propagate(
-    g: VisGraph, cand: dict[Pair, CandidateSet], idx: EntryIndex, mark: int
+    g: VisGraph, mask: list[int], idx: EntryIndex, mark: int
 ) -> Violation | None:
     """Close idx's assignment under NC1-NC3 forcing, assigning on its
-    trail.
+    trail.  mask is candidate_table(g).mask.
 
     The assignment is closed apart from the entries pushed since mark.
     Only dirty entries are visited: an entry is dirty from its assignment
@@ -104,10 +104,10 @@ def _propagate(
                 cur = a.get(req.pair)  # req is open: unassigned or clashing
                 if cur is not None:
                     return _mismatch(req, cur)
-                if not cand[req.pair].contains(req.value):
-                    return _mismatch(req, None)
-                idx.assign(req.pair, req.value)
                 (x, y), b = req.pair, req.value
+                if not mask[b] >> x * n + y & 1:
+                    return _mismatch(req, None)
+                idx.assign(req.pair, b)
                 later |= 1 << x * n + y
                 readers = (by_blocker[y] | by_viewer[b][x] << b * n) & ~(now | later)
                 now |= readers & ahead
@@ -126,12 +126,18 @@ def find_assignment(
     logged as (assignment depth, violation) in the rejection certificate.
     Raises SearchBudgetExceeded past node_budget branch extensions.
     """
-    cand = all_candidates(g)  # keyed by the invisible pairs, lexicographic
-    for p, cs in cand.items():
-        if cs.is_empty:
-            return Verdict(False, certificate=EmptyCandidateSet(p))
+    t, n = candidate_table(g), g.n
+    once = twice = 0  # the codes with a candidate, and with two
+    for m in t.mask:
+        once, twice = once | m, twice | once & m
+    for c in bits_from(t.inv & ~once, 0):  # the first pair without one
+        return Verdict(False, certificate=EmptyCandidateSet(divmod(c, n)))
 
-    order = sorted(cand, key=lambda p: (len(cand[p].members()), p))
+    # (pair, candidates cw first) for one-candidate, then two-candidate codes
+    cw, ccw = t.cw, t.ccw
+    order = [(divmod(c, n), (cw[c] if ccw[c] is None else ccw[c],))
+             for c in bits_from(t.inv & ~twice, 0)]
+    order += [(divmod(c, n), (cw[c], ccw[c])) for c in bits_from(twice, 0)]
     conflicts: list[tuple[int, Violation]] = []
     nodes = 0
     idx = EntryIndex(g, {})
@@ -142,7 +148,7 @@ def find_assignment(
     pos = 0
     while True:
         if bad is None:
-            pos = next((p for p in range(pos, len(order)) if order[p] not in idx.a), -1)
+            pos = next((p for p in range(pos, len(order)) if order[p][0] not in idx.a), -1)
             if pos < 0:
                 break
             stack.append([pos, 0, len(idx.pairs)])
@@ -151,7 +157,7 @@ def find_assignment(
         while stack:
             frame = stack[-1]
             pos, i, mark = frame
-            values = cand[order[pos]].members()
+            pair, values = order[pos]
             idx.undo(mark)
             if i < len(values):
                 frame[1] = i + 1
@@ -160,8 +166,8 @@ def find_assignment(
                     raise SearchBudgetExceeded(
                         f"no verdict within {node_budget} search nodes"
                     )
-                idx.assign(order[pos], values[i])
-                bad = _propagate(g, cand, idx, mark)
+                idx.assign(pair, values[i])
+                bad = _propagate(g, t.mask, idx, mark)
                 break
             stack.pop()
         else:
@@ -176,18 +182,18 @@ def find_assignment(
 
 def verify(g: VisGraph, a: Assignment) -> VerifyReport:
     """True iff the assignment is total, candidate-respecting and NC-clean."""
-    cand = all_candidates(g)  # keyed by the invisible pairs, lexicographic
-    problems = []
-    for pair in sorted(a):
-        if pair not in cand:
-            problems.append(f"({pair[0]},{pair[1]}) is not an invisible pair")
-        elif not cand[pair].contains(a[pair]):
-            problems.append(
-                f"p{a[pair]} is not a candidate blocker for ({pair[0]},{pair[1]})"
-            )
-    for pair in cand:
-        if pair not in a:
-            problems.append(f"({pair[0]},{pair[1]}) is unassigned")
+    t = candidate_table(g)
+    problems, listed = [], 0  # listed: the codes of the invisible pairs in a
+    for (i, j), k in sorted(a.items()):
+        c = t.code((i, j))
+        if c is None:
+            problems.append(f"({i},{j}) is not an invisible pair")
+            continue
+        listed |= 1 << c
+        if not t.admits(c, k):
+            problems.append(f"p{k} is not a candidate blocker for ({i},{j})")
+    for c in bits_from(t.inv & ~listed, 0):
+        problems.append("({},{}) is unassigned".format(*divmod(c, g.n)))
     if problems:
         return VerifyReport(False, tuple(problems), ())
     violations = check_conditions(g, a)

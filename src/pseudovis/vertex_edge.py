@@ -11,10 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .blockers import Assignment, CandidateSet, all_candidates
+from .blockers import Assignment, candidate_table
 from .errors import InvalidAssignment, VertexOutsideInterval
 from .graph_core import (
-    Pair,
     VisGraph,
     arc_mask,
     bits_from,
@@ -69,25 +68,17 @@ def build_ve(g: VisGraph, a: Assignment, check: bool = True) -> VEGraph:
     return VEGraph(n, tuple(full & ~h for h in hidden))
 
 
-def is_articulation(
-    g: VisGraph,
-    candidates: dict[Pair, CandidateSet],
-    start: int,
-    end: int,
-    v: int,
-) -> bool:
+def is_articulation(g: VisGraph, start: int, end: int, v: int) -> bool:
     """True iff v is a candidate blocker for some invisible pair that
     straddles it within the walk from start to end (viewer before v,
-    target after)."""
+    target after): one AND of those pairs' codes with mask[v].  The
+    viewers' bits s * n are the walk's rows of the code square over a row
+    of ones."""
     n = g.n
     if not strictly_inside(n, start, end, v):
         raise VertexOutsideInterval(f"p{v} is not strictly inside the walk {start}..{end}")
-    for s in bits_from(arc_mask(n, start, (v - 1) % n), 0):
-        for t in bits_from(arc_mask(n, (v + 1) % n, end), 0):
-            cs = candidates.get((s, t))
-            if cs is not None and cs.contains(v):
-                return True
-    return False
+    viewers = arc_mask(n * n, start * n, (v - 1) % n * n + n - 1) // ((1 << n) - 1)
+    return candidate_table(g).mask[v] & viewers * arc_mask(n, (v + 1) % n, end) != 0
 
 
 def seen_edge_gaps(ve: VEGraph, k: int) -> list[tuple[int, int]]:
@@ -98,9 +89,7 @@ def seen_edge_gaps(ve: VEGraph, k: int) -> list[tuple[int, int]]:
 
 
 def check_ve_characterization(
-    ve: VEGraph,
-    g: VisGraph,
-    candidates: dict[Pair, CandidateSet] | None = None,
+    ve: VEGraph, g: VisGraph, candidates: object = None
 ) -> list[CharacterizationFailure]:
     """Exactly-one-branch rule over every unseen-edge gap.
 
@@ -110,19 +99,17 @@ def check_ve_characterization(
           from k to j, or
       (2) vertex j sees e_i and is an articulation vertex of the walk
           from i+1 to k.
-    Both or neither holding is a failure.
+    Both or neither holding is a failure.  candidates is unused: every
+    reader takes the graph's own candidate_table.
     """
-    cand = candidates if candidates is not None else all_candidates(g)
     n = g.n
     failures = []
     for k in range(n):
         for i, j in seen_edge_gaps(ve, k):
             if (i - j) % n == 1:
                 continue  # bounding edges share a vertex
-            near = ve.sees((i + 1) % n, j) and is_articulation(
-                g, cand, k, j, (i + 1) % n
-            )
-            far = ve.sees(j, i) and is_articulation(g, cand, (i + 1) % n, k, j)
+            near = ve.sees((i + 1) % n, j) and is_articulation(g, k, j, (i + 1) % n)
+            far = ve.sees(j, i) and is_articulation(g, (i + 1) % n, k, j)
             if near == far:
                 failures.append(CharacterizationFailure(k, i, j))
     return failures

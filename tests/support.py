@@ -276,7 +276,7 @@ def naive_residual_violations(
     from full_scan_nc5."""
     nc1b = [_nc1b(i, j, k) for (i, j), k in sorted(a.items()) if a.get((k, j)) == i]
     nc4 = [
-        _nc4(rec) for rec in separable
+        _nc4(rec.blocker, rec.pair_a, rec.pair_b) for rec in separable
         if a.get(rec.pair_a) == rec.blocker and a.get(rec.pair_b) == rec.blocker
     ]
     return nc1b + nc4 + full_scan_nc5(g, a)

@@ -8,6 +8,7 @@ from pseudovis import (
     NotACandidate,
     SeparablePair,
     UnknownPair,
+    VerifyReport,
     VisGraph,
     all_candidates,
     check_conditions,
@@ -15,12 +16,15 @@ from pseudovis import (
     invisible_pairs,
     random_simple_polygon,
     separable_pairs,
+    verify,
     visibility_graph,
 )
 from pseudovis.conditions import (
     EntryIndex,
+    _nc4,
     _Requirement,
     entry_requirements,
+    first_violation,
     residual_violations,
 )
 from support import (
@@ -78,6 +82,30 @@ def test_unknown_pair(quad4):
 def test_not_a_candidate(dent5_graph):
     with pytest.raises(NotACandidate):
         check_conditions(dent5_graph, {(1, 3): 4})
+
+
+@pytest.mark.parametrize("pair, k, error, problem", [
+    # at n = 8 the code 1 * 8 + 13 is that of the invisible pair (2, 5)
+    ((1, 13), 4, UnknownPair, "(1,13) is not an invisible pair"),
+    ((3, -2), 4, UnknownPair, "(3,-2) is not an invisible pair"),  # code of (2, 6)
+    ((-1, 29), 4, UnknownPair, "(-1,29) is not an invisible pair"),  # code of (2, 5)
+    ((-1, 3), 4, UnknownPair, "(-1,3) is not an invisible pair"),  # a negative code
+    ((2, 5), -1, NotACandidate, "p-1 is not a candidate blocker for (2,5)"),
+    ((2, 5), 8, NotACandidate, "p8 is not a candidate blocker for (2,5)"),
+], ids=["alias", "alias-negative-target", "alias-negative-viewer", "negative-code",
+        "blocker-minus-1", "blocker-n"])
+def test_out_of_range_entries_are_rejected(pair, k, error, problem):
+    """Entries outside the graph are unknown pairs or not candidates, to
+    the checker and to verify alike, never a code of another pair."""
+    g = visibility_graph(random_simple_polygon(8, 1))
+    assert all_candidates(g)[(2, 5)].members() == (4,)
+    a = {pair: k}
+    with pytest.raises(error):
+        check_conditions(g, a)
+    with pytest.raises(error):
+        first_violation(g, a)
+    unassigned = [f"({i},{j}) is unassigned" for i, j in invisible_pairs(g) if (i, j) != pair]
+    assert verify(g, a) == VerifyReport(False, (problem, *unassigned), ())
 
 
 def test_partial_assignment_suspends(dent5_graph):
@@ -238,14 +266,36 @@ def random_chord_graph(rng: random.Random) -> VisGraph:
     ])
 
 
+def nc4_with_a_fresh_entry(g, a, fresh, separable, hits):
+    """residual_violations' NC4 part with the entries of fresh pushed last,
+    against every record of separable (in its order) whose two pairs carry
+    its blocker, one of them fresh; hits counts which pair that is."""
+    idx = EntryIndex(g, a)
+    found = list(residual_violations(g, idx, idx.pairs[len(a) - len(fresh):]))
+    new = {pair for pair, _ in fresh}
+    recs = [
+        rec for rec in separable
+        if a.get(rec.pair_a) == rec.blocker == a.get(rec.pair_b)
+        and (rec.pair_a in new or rec.pair_b in new)
+    ]
+    assert [v for v in found if v.condition == "NC4"] == [
+        _nc4(rec.blocker, rec.pair_a, rec.pair_b) for rec in recs
+    ], (a, fresh)
+    hits["NC4, fresh pair_a"] += sum(rec.pair_a in new for rec in recs)
+    hits["NC4, fresh pair_b only"] += sum(rec.pair_a not in new for rec in recs)
+    return found
+
+
 def test_first_new_residual_matches_full_scan():
     """On an assignment whose entries before the fresh ones have no NC1b
     or NC4 violation, checking NC1b and NC4 on the fresh entries alone
-    finds the first violation of the full residual scans."""
+    finds the first violation of the full residual scans.  On any
+    assignment, the NC4 violations found are those with a fresh entry."""
     rng = random.Random(6)
     hits = Counter()
     for _ in range(600):
         g = random_chord_graph(rng)
+        separable = naive_separable_pairs(g)
         entries = [
             (pair, rng.choice(cs.members()))
             for pair, cs in all_candidates(g).items()
@@ -261,12 +311,17 @@ def test_first_new_residual_matches_full_scan():
                 rest.append((pair, k))
         fresh = rng.sample(rest, min(len(rest), rng.randint(1, 3)))
         a.update(fresh)
-        idx = EntryIndex(g, a)
-        got = next(residual_violations(g, idx, idx.pairs[len(a) - len(fresh):]), None)
-        want = naive_residual_violations(g, a, naive_separable_pairs(g))
+        found = nc4_with_a_fresh_entry(g, a, fresh, separable, hits)
+        got = found[0] if found else None
+        want = naive_residual_violations(g, a, separable)
         assert got == (want[0] if want else None), (a, fresh)
         hits[got and got.condition] += 1
+        # a base with violations of its own: they are not reported
+        cut = rng.randint(0, len(entries))
+        dirty = dict(entries[:cut] + entries[cut + 2:] + entries[cut:cut + 2])
+        nc4_with_a_fresh_entry(g, dirty, entries[cut:cut + 2], separable, hits)
     assert hits["NC1b"] and hits["NC4"], hits
+    assert hits["NC4, fresh pair_a"] and hits["NC4, fresh pair_b only"], hits
 
 
 def test_residual_nc5_matches_full_pinch_scan():

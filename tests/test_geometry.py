@@ -116,13 +116,16 @@ def test_ve_graph_matches_sees_edge():
 
 
 def test_each_designated_blocker_derived_once(monkeypatch):
+    # designated_blocker_geo and the per-polygon table share one helper,
+    # which takes the polygon's tables, fetched once per polygon
     calls = []
+    designated = geometry._designated
 
-    def counted(p, pair):
+    def counted(r, ve_rows, t, pair):
         calls.append(pair)
-        return designated_blocker_geo(p, pair)
+        return designated(r, ve_rows, t, pair)
 
-    monkeypatch.setattr(geometry, "designated_blocker_geo", counted)
+    monkeypatch.setattr(geometry, "_designated", counted)
     p = random_simple_polygon(10, 17)
     assert not check_blocker_uniqueness(p)
     geometric_blockers(p)
@@ -130,12 +133,14 @@ def test_each_designated_blocker_derived_once(monkeypatch):
 
 
 def test_designated_contradiction_reaches_both_readers(monkeypatch, dent5_poly):
-    def contradicts(p, pair):
+    designated = geometry._designated
+
+    def contradicts(r, ve_rows, t, pair):
         if pair == (1, 3):
             raise OracleContradiction("forced")
-        return designated_blocker_geo(p, pair)
+        return designated(r, ve_rows, t, pair)
 
-    monkeypatch.setattr(geometry, "designated_blocker_geo", contradicts)
+    monkeypatch.setattr(geometry, "_designated", contradicts)
     assert check_blocker_uniqueness(dent5_poly) == ["pair (1,3): forced"]
     with pytest.raises(OracleContradiction, match="forced"):
         geometric_blockers(dent5_poly)

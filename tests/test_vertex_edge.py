@@ -111,13 +111,12 @@ def test_unchecked_entry_blocked_by_its_own_end_rejected(a):
 
 
 def test_is_articulation_examples(dent5_graph, k5):
-    cand = all_candidates(dent5_graph)
-    assert is_articulation(dent5_graph, cand, 1, 4, 2)
+    assert is_articulation(dent5_graph, 1, 4, 2)
     with pytest.raises(VertexOutsideInterval):
-        is_articulation(dent5_graph, cand, 1, 4, 1)
+        is_articulation(dent5_graph, 1, 4, 1)
     with pytest.raises(VertexOutsideInterval):
         articulation_by_incidence(build_ve(dent5_graph, {}, check=False), 1, 4, 4)
-    assert not is_articulation(k5, all_candidates(k5), 0, 3, 1)
+    assert not is_articulation(k5, 0, 3, 1)
 
 
 def test_gap_enumeration(dent5_graph, dent5_poly):
@@ -150,7 +149,6 @@ def test_articulation_cross_check(sample_polygons):
     checked = 0
     for p in sample_polygons:
         g = visibility_graph(p)
-        cand = all_candidates(g)
         ve = ve_graph_geo(p)
         n = g.n
         for k in range(n):
@@ -158,11 +156,11 @@ def test_articulation_cross_check(sample_polygons):
                 if (i - j) % n == 1:
                     continue
                 if ve.sees((i + 1) % n, j):
-                    assert is_articulation(g, cand, k, j, (i + 1) % n) == \
+                    assert is_articulation(g, k, j, (i + 1) % n) == \
                         articulation_by_incidence(ve, k, j, (i + 1) % n)
                     checked += 1
                 if ve.sees(j, i):
-                    assert is_articulation(g, cand, (i + 1) % n, k, j) == \
+                    assert is_articulation(g, (i + 1) % n, k, j) == \
                         articulation_by_incidence(ve, (i + 1) % n, k, j)
                     checked += 1
     assert checked > 0
