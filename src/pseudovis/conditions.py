@@ -356,7 +356,7 @@ def residual_violations(
     a, n, by_blocker = idx.a, idx.n, idx.by_blocker
     partners, nn = nc4_partners(g), n * n
     # NC1 part (2): the roles of viewer and blocker cannot swap.  Both
-    # entries of a swap report it.
+    # entries of a swap report it.  The same pass finds NC4's hot entries.
     swapped = set()
     hot: dict[int, int] = {}  # hot[b]: the fresh codes -> b with an NC4 partner
     for x, y in fresh:

@@ -71,9 +71,9 @@ def build_ve(g: VisGraph, a: Assignment, check: bool = True) -> VEGraph:
 def is_articulation(g: VisGraph, start: int, end: int, v: int) -> bool:
     """True iff v is a candidate blocker for some invisible pair that
     straddles it within the walk from start to end (viewer before v,
-    target after): one AND of those pairs' codes with mask[v].  The
-    viewers' bits s * n are the walk's rows of the code square over a row
-    of ones."""
+    target after): one AND of those pairs' codes with mask[v].  viewers
+    sets bit s * n for each s on the walk start .. v - 1: the walk's rows
+    of the n-by-n code square, all ones, divided by one row of ones."""
     n = g.n
     if not strictly_inside(n, start, end, v):
         raise VertexOutsideInterval(f"p{v} is not strictly inside the walk {start}..{end}")
