@@ -1,4 +1,5 @@
 import hashlib
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -130,6 +131,27 @@ def test_each_designated_blocker_derived_once(monkeypatch):
     assert not check_blocker_uniqueness(p)
     geometric_blockers(p)
     assert sorted(calls) == invisible_pairs(visibility_graph(p))
+
+
+def test_designated_blockers_fetch_each_table_once(monkeypatch):
+    """The per-polygon table reads the polygon's tables once, not once per
+    invisible pair."""
+    p = random_simple_polygon(10, 17)
+    g = visibility_graph(p)
+    ve_graph_geo(p), geometry.candidate_table(g)  # built before counting
+    fetched = Counter()
+
+    def counting(name, table):
+        def fetch(source):
+            fetched[name] += 1
+            return table(source)
+        return fetch
+
+    for name in ("visibility_graph", "rows", "ve_graph_geo", "candidate_table"):
+        monkeypatch.setattr(geometry, name, counting(name, getattr(geometry, name)))
+    outcomes = geometry._designated_blockers(p)
+    assert len(outcomes) == len(invisible_pairs(g)) > 1
+    assert fetched == Counter(visibility_graph=1, rows=1, ve_graph_geo=1, candidate_table=1)
 
 
 def test_designated_contradiction_reaches_both_readers(monkeypatch, dent5_poly):
