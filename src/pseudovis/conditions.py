@@ -317,6 +317,7 @@ def _violations_iter(
             if actual is not None:
                 yield _mismatch(req, actual)
     yield from residual_violations(g, idx, idx.pairs)
+    yield from _nc5_violations(idx)
 
 
 def _nc1b(i: int, j: int, k: int) -> Violation:
@@ -342,47 +343,39 @@ def _nc4(b: int, pair_a: Pair, pair_b: Pair) -> Violation:
 def residual_violations(
     g: VisGraph, idx: EntryIndex, fresh: list[Pair]
 ) -> Iterator[Violation]:
-    """The NC1b, NC4 and NC5 violations of idx's assignment of invisible
-    pairs: the checks that are not a requirement of a single entry, so
-    forcing never reports them.
+    """The NC1b and NC4 violations of idx's assignment of invisible pairs
+    that involve an entry of fresh: the checks that are not a requirement
+    of a single entry, so forcing never reports them, and that can fail
+    before the assignment is total.
 
-    NC1b and NC4 are looked for only among the violations that involve
-    an entry of fresh, so with every entry fresh this is all of them, in
-    the order of the entries (NC1b) and of the separable table (NC4).
-    Where the other entries have no NC1b or NC4 violation among them,
-    the violations are the same as with every entry fresh.  NC5 is
-    scanned in full.
+    With every entry fresh this is all of them, in the order of the
+    entries (NC1b) and of the separable table (NC4).  Where the other
+    entries have no NC1b or NC4 violation among them, the violations are
+    the same as with every entry fresh.  NC5 is not checked here: the
+    checker appends it, and the search checks it at total assignments.
     """
     a, n, by_blocker = idx.a, idx.n, idx.by_blocker
     partners, nn = nc4_partners(g), n * n
     # NC1 part (2): the roles of viewer and blocker cannot swap.  Both
-    # entries of a swap report it.  The same pass finds NC4's hot entries.
+    # entries of a swap report it.  The same pass collects NC4's pairs
+    # (b, c, c2) of blocker b with c or c2 fresh; codes ascend as pairs
+    # do, so sorted they are in the order of separable_pairs.
     swapped = set()
-    hot: dict[int, int] = {}  # hot[b]: the fresh codes -> b with an NC4 partner
+    shared = set()
     for x, y in fresh:
         k, c = a[(x, y)], x * n + y
         ahead_behind = partners.get(k * nn + c)
         if ahead_behind and (ahead_behind[0] | ahead_behind[1]) & by_blocker[k]:
-            hot[k] = hot.get(k, 0) | 1 << c
+            ahead, behind = ahead_behind
+            mine = by_blocker[k]
+            shared.update((k, c, c2) for c2 in bits_from(ahead & mine, 0))
+            shared.update((k, c1, c) for c1 in bits_from(behind & mine, 0))
         if a.get((k, y)) == x:
             swapped.update(((x, y), (k, y)))
     for i, j in sorted(swapped):
         yield _nc1b(i, j, a[(i, j)])
-
-    # NC4 in the order of separable_pairs, on the pairs (c, c2) of blocker
-    # b with c or c2 fresh: c runs over the hot codes and those behind
-    # them, c2 over the codes ahead of c, only hot ones unless c is hot.
-    for b in sorted(hot):
-        mine, hot_b = by_blocker[b], hot[b]
-        heads = hot_b
-        for c in bits_from(hot_b, 0):
-            heads |= partners[b * nn + c][1] & mine
-        for c in bits_from(heads, 0):
-            tails = partners[b * nn + c][0] & (mine if hot_b >> c & 1 else hot_b)
-            for c2 in bits_from(tails, 0):
-                yield _nc4(b, divmod(c, n), divmod(c2, n))
-
-    yield from _nc5_violations(idx)
+    for b, c, c2 in sorted(shared):
+        yield _nc4(b, divmod(c, n), divmod(c2, n))
 
 
 def _nc5_violations(idx: EntryIndex) -> Iterator[Violation]:

@@ -304,19 +304,18 @@ def _designated(r: tuple, ve_rows: tuple, t: CandidateTable, pair: Pair) -> int:
 
 
 @derived_table
-def _designated_blockers(p: Polygon) -> dict[Pair, int | OracleContradiction]:
-    """designated_blocker_geo's outcome for every ordered invisible pair:
-    the blocker, or the contradiction it raised, kept without its
-    traceback so the table holds no frame."""
+def _designated_blockers(p: Polygon) -> dict[int, int | OracleContradiction]:
+    """designated_blocker_geo's outcome for every ordered invisible pair,
+    by entry code i * n + j: the blocker, or the contradiction it raised,
+    kept without its traceback so the table holds no frame."""
     g = visibility_graph(p)
     r, ve_rows, t = rows(g), ve_graph_geo(p).rows, candidate_table(g)
-    outcomes: dict[Pair, int | OracleContradiction] = {}
+    outcomes: dict[int, int | OracleContradiction] = {}
     for c in bits_from(t.inv, 0):
-        pair = divmod(c, t.n)
         try:
-            outcomes[pair] = _designated(r, ve_rows, t, pair)
+            outcomes[c] = _designated(r, ve_rows, t, divmod(c, t.n))
         except OracleContradiction as exc:
-            outcomes[pair] = exc.with_traceback(None)
+            outcomes[c] = exc.with_traceback(None)
     return outcomes
 
 
@@ -327,7 +326,7 @@ def geometric_blockers(p: Polygon) -> dict[Pair, int]:
     for outcome in outcomes.values():
         if isinstance(outcome, OracleContradiction):
             raise outcome.with_traceback(None)
-    return dict(outcomes)
+    return {divmod(c, p.n): k for c, k in outcomes.items()}
 
 
 def _on_walk(n: int, a: int, b: int, m: int) -> bool:
@@ -356,7 +355,8 @@ def check_blocker_uniqueness(p: Polygon) -> list[str]:
         if hit is not None:
             rays[i].append((v, hit[0]))
     failures = []
-    for (i, j), algo in _designated_blockers(p).items():
+    for c, algo in _designated_blockers(p).items():
+        i, j = divmod(c, n)
         if isinstance(algo, OracleContradiction):
             failures.append(f"pair ({i},{j}): {algo}")
             continue

@@ -3,9 +3,10 @@
 Variables are the ordered invisible pairs, domains their candidate sets
 (at most two values).  The search is chronological backtracking with
 forward propagation: conditions NC1-NC3 have implicational form, so each
-tentative entry forces further entries until a fixpoint.  NC4/NC5 (and
-NC1 part 2) are checked on every closure.  Rejection comes with a
-re-checkable certificate.
+tentative entry forces further entries until a fixpoint.  NC4 (and NC1
+part 2) are checked on every closure, NC5 on every total assignment: an
+NC5 violation cites only assigned entries, so it persists in every total
+extension of a closure.  Rejection comes with a re-checkable certificate.
 
 The whole search works on one EntryIndex, which owns the assignment.
 Every entry, decided or forced, is pushed onto its trail; a search node
@@ -24,6 +25,7 @@ from .conditions import (
     EntryIndex,
     Violation,
     _mismatch,
+    _nc5_violations,
     check_conditions,
     entry_requirements,
     residual_violations,
@@ -81,10 +83,10 @@ def _propagate(
     the NC3 reverse scan of (b, .) -> x.
 
     Returns the first violation hit (forced value outside the candidate
-    set, contradiction with an existing entry, or any residual NC1b /
-    NC4 / NC5 breach on the closure), or None if consistent.  The closure
-    at mark was violation-free, so NC1b and NC4 are checked only on the
-    entries pushed since mark.
+    set, contradiction with an existing entry, or any residual NC1b / NC4
+    breach on the closure), or None if consistent.  The closure at mark
+    was violation-free, so NC1b and NC4 are checked only on the entries
+    pushed since mark.  NC5 is left to the caller, at total assignments.
     """
     n, a = g.n, idx.a
     by_viewer, by_blocker = idx.by_viewer, idx.by_blocker
@@ -149,10 +151,13 @@ def find_assignment(
     while True:
         if bad is None:
             pos = next((p for p in range(pos, len(order)) if order[p][0] not in idx.a), -1)
-            if pos < 0:
-                break
-            stack.append([pos, 0, len(idx.pairs)])
-        else:
+            if pos >= 0:
+                stack.append([pos, 0, len(idx.pairs)])
+            else:  # a total assignment: only NC5 is left to check
+                bad = next(_nc5_violations(idx), None)
+                if bad is None:
+                    break
+        if bad is not None:
             conflicts.append((len(idx.a), bad))
         while stack:
             frame = stack[-1]

@@ -269,17 +269,16 @@ def full_scan_nc5(g: VisGraph, a: dict) -> list[Violation]:
 def naive_residual_violations(
     g: VisGraph, a: dict, separable: list[SeparablePair]
 ) -> list[Violation]:
-    """The NC1b, NC4 and NC5 violations of a candidate-drawn assignment
-    by full scans: NC1b at every entry (i, j) -> k with (k, j) -> i, in
-    sorted order; NC4 at every record of separable (the graph's
-    naive_separable_pairs) whose two pairs both carry its blocker; NC5
-    from full_scan_nc5."""
+    """The NC1b and NC4 violations of a candidate-drawn assignment by full
+    scans: NC1b at every entry (i, j) -> k with (k, j) -> i, in sorted
+    order; NC4 at every record of separable (the graph's
+    naive_separable_pairs) whose two pairs both carry its blocker."""
     nc1b = [_nc1b(i, j, k) for (i, j), k in sorted(a.items()) if a.get((k, j)) == i]
     nc4 = [
         _nc4(rec.blocker, rec.pair_a, rec.pair_b) for rec in separable
         if a.get(rec.pair_a) == rec.blocker and a.get(rec.pair_b) == rec.blocker
     ]
-    return nc1b + nc4 + full_scan_nc5(g, a)
+    return nc1b + nc4
 
 
 def naive_entry_requirements(g: VisGraph, a: dict, pair, k: int):
@@ -325,8 +324,8 @@ def naive_find_assignment(g: VisGraph) -> Verdict:
     """find_assignment as a recursive search that copies the assignment
     at every node.  Propagation walks the sorted entries in passes,
     visiting the dirty ones, and every closure is checked with the full
-    naive_residual_violations.  The package's search must match it byte
-    for byte (verdict_to_json)."""
+    naive_residual_violations and full_scan_nc5, in that order.  The
+    package's search must match it byte for byte (verdict_to_json)."""
     cand = all_candidates(g)
     for p, cs in cand.items():
         if cs.is_empty:
@@ -364,7 +363,7 @@ def naive_find_assignment(g: VisGraph) -> Verdict:
                         return _mismatch(req, None)
                     a[req.pair] = req.value
                     added(req.pair)
-        residual = naive_residual_violations(g, a, separable)
+        residual = naive_residual_violations(g, a, separable) + full_scan_nc5(g, a)
         return residual[0] if residual else None
 
     def solve(a: dict, new: tuple) -> dict | None:

@@ -22,6 +22,7 @@ from pseudovis import (
 from pseudovis.conditions import (
     EntryIndex,
     _nc4,
+    _nc5_violations,
     _Requirement,
     entry_requirements,
     first_violation,
@@ -305,8 +306,7 @@ def test_first_new_residual_matches_full_scan():
         a, rest = {}, []
         for pair, k in entries:  # a clean base, built greedily
             a[pair] = k
-            residual = residual_violations(g, EntryIndex(g, a), list(a))
-            if any(v.condition != "NC5" for v in residual):
+            if next(residual_violations(g, EntryIndex(g, a), list(a)), None) is not None:
                 del a[pair]
                 rest.append((pair, k))
         fresh = rng.sample(rest, min(len(rest), rng.randint(1, 3)))
@@ -325,11 +325,11 @@ def test_first_new_residual_matches_full_scan():
 
 
 def test_residual_nc5_matches_full_pinch_scan():
-    """The checker's residual check, every entry fresh, on random
-    candidate-drawn partial assignments: it must find exactly what the
-    full scans find, in the same order.  That is NC1b over the sorted
-    entries, NC4 over the separable pairs and, although NC5 scans only
-    mutual entries, NC5 over every pinched quadruple."""
+    """The checker's residual check, every entry fresh, and its NC5 check
+    on random candidate-drawn partial assignments: each must find exactly
+    what the full scans find, in the same order.  That is NC1b over the
+    sorted entries and NC4 over the separable pairs and, although NC5
+    scans only mutual entries, NC5 over every pinched quadruple."""
     rng = random.Random(2)
     hits = Counter()
     for _ in range(2000):
@@ -343,7 +343,9 @@ def test_residual_nc5_matches_full_pinch_scan():
         idx = EntryIndex(g, a)
         residual = list(residual_violations(g, idx, idx.pairs))
         assert residual == naive_residual_violations(g, a, naive_separable_pairs(g)), a
-        hits.update(v.condition for v in residual)
+        nc5 = list(_nc5_violations(idx))
+        assert nc5 == full_scan_nc5(g, a), a
+        hits.update(v.condition for v in residual + nc5)
     assert hits["NC1b"] and hits["NC4"] and hits["NC5"], hits
 
 
@@ -365,8 +367,7 @@ def test_residual_nc5_on_the_trail_matches_full_pinch_scan():
                 idx.assign(p, rng.choice(values))
             else:
                 idx.undo(rng.randint(max(0, len(idx.pairs) - 8), len(idx.pairs)))
-            residual = residual_violations(g, idx, idx.pairs)
-            nc5 = [v for v in residual if v.condition == "NC5"]
+            nc5 = list(_nc5_violations(idx))
             assert nc5 == full_scan_nc5(g, idx.a), idx.a
             hits += len(nc5)
     assert hits > 0

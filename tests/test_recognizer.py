@@ -11,15 +11,20 @@ from pseudovis import (
     ExhaustedSearch,
     SearchBudgetExceeded,
     check_conditions,
+    conditions,
     find_assignment,
     geometric_blockers,
     random_simple_polygon,
+    recognizer,
     validate_graph,
     verdict_to_json,
     verify,
     visibility_graph,
 )
-from pseudovis.conditions import EntryIndex
+from pseudovis.blockers import candidate_table
+from pseudovis.conditions import EntryIndex, Violation
+from pseudovis.graph_core import bits_from
+import support
 from support import brute_force_accepts, complete_graph, cycle_graph, naive_find_assignment
 
 
@@ -269,3 +274,71 @@ def test_search_matches_copying_search():
         chord = rng.choice(sorted(e for e in g.edges if (e[1] - e[0]) % n not in (1, n - 1)))
         check(validate_graph(n, sorted(g.edges - {chord})))
     assert all(kinds.values()), kinds
+
+
+def polygon_graphs(seeds) -> list:
+    return [visibility_graph(random_simple_polygon(7 + s % 4, s)) for s in seeds]
+
+
+def test_search_checks_nc5_only_at_total_assignments(monkeypatch):
+    # NC5 is left to the leaves of the search: every NC5 scan that
+    # find_assignment makes, its own or the final verify's, sees every
+    # invisible pair assigned.
+    nc5 = conditions._nc5_violations
+    seen = []
+
+    def spy(idx):
+        seen.append(len(idx.a) == total)
+        return nc5(idx)
+
+    monkeypatch.setattr(recognizer, "_nc5_violations", spy)
+    monkeypatch.setattr(conditions, "_nc5_violations", spy)
+    # chordless cycles (exhausted searches) and polygon graphs (accepted)
+    for g in [cycle_graph(n) for n in range(4, 8)] + polygon_graphs(range(70000, 70012)):
+        total = candidate_table(g).inv.bit_count()
+        find_assignment(g)
+    assert seen and all(seen), seen.count(False)
+
+
+def test_nc5_hit_at_a_total_assignment_backtracks(monkeypatch):
+    # NC5 made to reject the total assignments in which a two-candidate
+    # pair takes its cw value, the value the unpatched search accepted:
+    # the search must backtrack past them exactly as the copying search
+    # does under the same rejection, with the same verdict bytes.  These
+    # seeds' graphs are those of 70000..70011 whose accepted assignment
+    # gives some two-candidate pair its cw value.
+    nc5, full_scan_nc5 = conditions._nc5_violations, support.full_scan_nc5
+    kinds = {True: 0, False: 0}
+    for g in polygon_graphs((70000, 70003, 70005, 70006, 70008, 70009, 70010, 70011)):
+        unpatched = find_assignment(g)
+        t, n = candidate_table(g), g.n
+        total, fired = t.inv.bit_count(), 0
+        pair, cw = next(
+            (divmod(c, n), t.cw[c]) for c in bits_from(t.inv, 0)
+            if t.ccw[c] is not None and unpatched.assignment[divmod(c, n)] == t.cw[c]
+        )
+        fake = Violation("NC5", (pair,), (cw,), f"NC5: p{cw} on {pair} rejected at a leaf")
+
+        def rejects(a):
+            return len(a) == total and a.get(pair) == cw
+
+        def patched_nc5(idx):
+            nonlocal fired
+            if rejects(idx.a):
+                fired += 1
+                yield fake
+            yield from nc5(idx)
+
+        monkeypatch.setattr(recognizer, "_nc5_violations", patched_nc5)
+        monkeypatch.setattr(conditions, "_nc5_violations", patched_nc5)
+        monkeypatch.setattr(
+            support, "full_scan_nc5", lambda h, a: [fake] * rejects(a) + full_scan_nc5(h, a)
+        )
+        v = find_assignment(g)
+        assert fired, pair
+        assert verdict_to_json(v) == verdict_to_json(naive_find_assignment(g))
+        if v.accepted:
+            assert v.assignment[pair] != cw and verify(g, v.assignment).ok
+        kinds[v.accepted] += 1
+        monkeypatch.undo()
+    assert kinds[True] and kinds[False], kinds
