@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import Counter
 
@@ -27,7 +28,9 @@ from pseudovis.conditions import (
     entry_requirements,
     first_violation,
     residual_violations,
+    violation_to_dict,
 )
+from pseudovis.graph_core import canonical_json
 from support import (
     cycle_graph,
     full_scan_nc5,
@@ -422,3 +425,44 @@ def test_violations_are_recheckable(dent5_graph):
     for v in check_conditions(dent5_graph, a):
         cited = {p: a[p] for p in v.pairs if p in a}
         assert v in check_conditions(dent5_graph, cited)
+
+
+CHECKER_GOLDEN_DIGEST = "f0dd83ba8bbacf8c90b642f246eef665ffd3f89c85f11e1763d01e511ab38c1f"
+
+
+def checker_golden_inputs():
+    """Seeded candidate-drawn partial assignments: on chord graphs, and on
+    polygon graphs with one non-edge added."""
+    rng = random.Random(20261019)
+    graphs = [random_chord_graph(rng) for _ in range(160)]
+    for seed in range(40):
+        n = 8 + seed % 3
+        g = visibility_graph(random_simple_polygon(n, 60000 + seed))
+        others = sorted(
+            (a, b) for a in range(n) for b in range(a + 1, n) if (a, b) not in g.edges
+        )
+        graphs.append(cycle_graph(n, sorted(g.edges | {rng.choice(others)})))
+    for g in graphs:
+        entries = [(p, cs.members()) for p, cs in all_candidates(g).items() if not cs.is_empty]
+        for _ in range(4):
+            share = rng.random()
+            yield g, {p: rng.choice(values) for p, values in entries if rng.random() < share}
+
+
+def test_checker_golden_violations():
+    # Pins the exact violation lists of check_conditions and the first
+    # violation of first_violation (order, pairs, vertices, narratives),
+    # which is the same against a given candidate table.
+    digest = hashlib.sha256()
+    hits = Counter()
+    for g, a in checker_golden_inputs():
+        found = check_conditions(g, a)
+        first = first_violation(g, a)
+        assert first_violation(g, a, all_candidates(g)) == first
+        hits.update(v.condition for v in found)
+        digest.update(canonical_json({
+            "all": [violation_to_dict(v) for v in found],
+            "first": first and violation_to_dict(first),
+        }).encode())
+    assert set(hits) == {"NC1a", "NC1b", "NC2", "NC3case1", "NC3case2", "NC4", "NC5"}, hits
+    assert digest.hexdigest() == CHECKER_GOLDEN_DIGEST
