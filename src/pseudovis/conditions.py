@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator, NamedTuple
 
 from .blockers import Assignment, CandidateSet, candidate_table, entry_arcs
@@ -90,9 +91,10 @@ def _must_be_invisible(
 
 
 class EntryIndex:
-    """The search state over a graph: an assignment a, its entries in the
-    order they were assigned (pairs, the trail), and bitmask tables over
-    them, kept in step by assign and undo:
+    """The search state over a graph: an assignment a from entry codes
+    v * n + t to blockers, kept in the order its entries were pushed (so
+    a is also the trail), and bitmask tables over it, kept in step by
+    assign and undo:
 
     - by_viewer[v][b]: bit t is set iff (v, t) -> b;
     - by_target[t][b]: bit v is set iff (v, t) -> b;
@@ -103,52 +105,53 @@ class EntryIndex:
     rows is the graph's rows(g), read once here.
     """
 
-    __slots__ = ("n", "rows", "a", "pairs", "by_viewer", "by_target", "viewers", "by_blocker")
+    __slots__ = ("n", "rows", "a", "by_viewer", "by_target", "viewers", "by_blocker")
 
-    def __init__(self, g: VisGraph, a: Assignment) -> None:
+    def __init__(self, g: VisGraph) -> None:
         n = self.n = g.n
         self.rows = rows(g)
-        self.a: Assignment = {}
-        self.pairs: list[Pair] = []
+        self.a: dict[int, int] = {}
         self.by_viewer = [[0] * n for _ in range(n)]
         self.by_target = [[0] * n for _ in range(n)]
         self.viewers = [0] * n
         self.by_blocker = [0] * n
-        for pair, b in a.items():
-            self.assign(pair, b)
 
-    def assign(self, pair: Pair, b: int) -> None:
-        """Push the entry pair -> b; pair must be unassigned."""
-        v, t = pair
-        self.a[pair] = b
-        self.pairs.append(pair)
+    def assign(self, c: int, b: int) -> int:
+        """Push the entry c -> b, code c unassigned, and return the codes
+        of its readers, the entries whose requirements read it: for
+        c = v * n + t, NC2 and NC3 case 2 of the entries blocked by t and
+        the NC3 reverse scan of (b, .) -> v."""
+        v, t = divmod(c, self.n)
+        self.a[c] = b
         self.by_viewer[v][b] |= 1 << t
         self.by_target[t][b] |= 1 << v
         self.viewers[t] |= 1 << v
-        self.by_blocker[b] |= 1 << v * self.n + t
+        self.by_blocker[b] |= 1 << c
+        return self.by_blocker[t] | self.by_viewer[b][v] << b * self.n
 
     def undo(self, mark: int) -> None:
-        """Unassign every entry pushed since the trail had mark entries."""
-        a, pairs = self.a, self.pairs
-        while len(pairs) > mark:
-            v, t = pair = pairs.pop()
-            b = a.pop(pair)
+        """Unassign every entry pushed since a had mark entries."""
+        a = self.a
+        while len(a) > mark:
+            c, b = a.popitem()
+            v, t = divmod(c, self.n)
             self.by_viewer[v][b] &= ~(1 << t)
             self.by_target[t][b] &= ~(1 << v)
             self.viewers[t] &= ~(1 << v)
-            self.by_blocker[b] &= ~(1 << v * self.n + t)
+            self.by_blocker[b] &= ~(1 << c)
 
 
 def entry_requirements(
-    idx: EntryIndex, pair: Pair, k: int
+    idx: EntryIndex, c: int, k: int
 ) -> Iterator[_Requirement | Violation]:
-    """Everything a single entry (pair -> k) implies under NC1-NC3.
+    """Everything a single entry (c -> k) implies under NC1-NC3.
 
     Yields _Requirement records for forced assignments that are still
-    open (idx.a.get(req.pair) != req.value at the yield; a met one stays
-    met under any extension, so nothing is lost) and ready-made Violation
-    records for requirements that the graph itself already breaks (a
-    pair that must be invisible is visible).
+    open (the code of req.pair does not map to req.value in idx.a at the
+    yield; a met one stays met under any extension, so nothing is lost)
+    and ready-made Violation records for requirements that the graph
+    itself already breaks (a pair that must be invisible is visible).
+    Pairs appear only in these records.
 
     Each scan takes its open targets from idx with a few mask operations
     and yields them in counterclockwise order from the start of its arc;
@@ -157,7 +160,7 @@ def entry_requirements(
     the pair just yielded.
     """
     n, r, a = idx.n, idx.rows, idx.a
-    i, j = pair
+    i, j = pair = divmod(c, n)
     by_viewer, by_target = idx.by_viewer, idx.by_target
     (near0, near1), (far0, far1) = entry_arcs(n, pair, k)
     near = arc_mask(n, near0, near1)
@@ -175,7 +178,7 @@ def entry_requirements(
         if sees_k >> s & 1:
             yield _Requirement((s, j), k, "NC2", pair, k)
         else:
-            t = a[(s, k)]
+            t = a[s * n + k]
             if not by_target[j][t] >> s & 1:
                 yield _Requirement((s, j), t, "NC2", pair, k, via=((s, k),))
 
@@ -185,7 +188,7 @@ def entry_requirements(
     if sees_k >> j & 1:
         cond, value, via = "NC3case1", k, ()
     else:
-        value = a.get((j, k))
+        value = a.get(j * n + k)
         if value is None:
             return
         cond, via = "NC3case2", ((j, k),)
@@ -299,24 +302,24 @@ def _pinch_certified(idx: EntryIndex, i: int, j: int, s: int, t: int, m: int) ->
 def _violations_iter(
     g: VisGraph, a: Assignment, cand: dict[Pair, CandidateSet] | None
 ) -> Iterator[Violation]:
-    t = candidate_table(g)
+    t, idx = candidate_table(g), EntryIndex(g)
     for pair, k in a.items():
-        c = t.code(pair)
-        if (c is None) if cand is None else (pair not in cand):
+        if (t.code(pair) is None) if cand is None else (pair not in cand):
             raise UnknownPair(f"{pair} is not an invisible pair")
+        c = pair[0] * g.n + pair[1]
         if not (t.admits(c, k) if cand is None else cand[pair].contains(k)):
             raise NotACandidate(f"p{k} is not a candidate for {pair}")
+        idx.assign(c, k)
 
-    idx = EntryIndex(g, a)
-    for pair, k in sorted(a.items()):
-        for req in entry_requirements(idx, pair, k):
+    for c, k in sorted(idx.a.items()):
+        for req in entry_requirements(idx, c, k):
             if isinstance(req, Violation):
                 yield req
                 continue
             actual = a.get(req.pair)
             if actual is not None:
                 yield _mismatch(req, actual)
-    yield from residual_violations(g, idx, idx.pairs)
+    yield from residual_violations(g, idx, 0)
     yield from _nc5_violations(idx)
 
 
@@ -341,17 +344,17 @@ def _nc4(b: int, pair_a: Pair, pair_b: Pair) -> Violation:
 
 
 def residual_violations(
-    g: VisGraph, idx: EntryIndex, fresh: list[Pair]
+    g: VisGraph, idx: EntryIndex, mark: int
 ) -> Iterator[Violation]:
     """The NC1b and NC4 violations of idx's assignment of invisible pairs
-    that involve an entry of fresh: the checks that are not a requirement
-    of a single entry, so forcing never reports them, and that can fail
-    before the assignment is total.
+    that involve a fresh entry, one pushed since idx.a had mark entries:
+    the checks that are not a requirement of a single entry, so forcing
+    never reports them, and that can fail before the assignment is total.
 
-    With every entry fresh this is all of them, in the order of the
-    entries (NC1b) and of the separable table (NC4).  Where the other
-    entries have no NC1b or NC4 violation among them, the violations are
-    the same as with every entry fresh.  NC5 is not checked here: the
+    With mark 0 this is all of them, in the order of the entries (NC1b)
+    and of the separable table (NC4).  Where the other entries have no
+    NC1b or NC4 violation among them, the violations are the same as with
+    every entry fresh.  NC5 is not checked here: the
     checker appends it, and the search checks it at total assignments.
     """
     a, n, by_blocker = idx.a, idx.n, idx.by_blocker
@@ -362,18 +365,18 @@ def residual_violations(
     # do, so sorted they are in the order of separable_pairs.
     swapped = set()
     shared = set()
-    for x, y in fresh:
-        k, c = a[(x, y)], x * n + y
+    for c, k in islice(reversed(a.items()), len(a) - mark):
         ahead_behind = partners.get(k * nn + c)
         if ahead_behind and (ahead_behind[0] | ahead_behind[1]) & by_blocker[k]:
             ahead, behind = ahead_behind
             mine = by_blocker[k]
             shared.update((k, c, c2) for c2 in bits_from(ahead & mine, 0))
             shared.update((k, c1, c) for c1 in bits_from(behind & mine, 0))
-        if a.get((k, y)) == x:
-            swapped.update(((x, y), (k, y)))
-    for i, j in sorted(swapped):
-        yield _nc1b(i, j, a[(i, j)])
+        x, y = divmod(c, n)
+        if a.get(k * n + y) == x:
+            swapped.update((c, k * n + y))
+    for c in sorted(swapped):
+        yield _nc1b(*divmod(c, n), a[c])
     for b, c, c2 in sorted(shared):
         yield _nc4(b, divmod(c, n), divmod(c2, n))
 
@@ -393,7 +396,8 @@ def _nc5_violations(idx: EntryIndex) -> Iterator[Violation]:
     (s, t, i, j), for each m2."""
     n, by_viewer = idx.n, idx.by_viewer
     by_target: dict[int, list[tuple[int, int]]] = defaultdict(list)
-    for (v, m), b in idx.a.items():
+    for c, b in idx.a.items():
+        v, m = divmod(c, n)
         if by_viewer[b][v]:
             by_target[m].append((v, b))
     quads = []

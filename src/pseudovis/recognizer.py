@@ -8,11 +8,12 @@ part 2) are checked on every closure, NC5 on every total assignment: an
 NC5 violation cites only assigned entries, so it persists in every total
 extension of a closure.  Rejection comes with a re-checkable certificate.
 
-The whole search works on one EntryIndex, which owns the assignment.
-Every entry, decided or forced, is pushed onto its trail; a search node
-records the trail's length as its mark, and backtracking pops the trail
-back to the mark, undoing those entries in the assignment and the
-index.  The search is a loop over an explicit stack of nodes, so its
+The whole search works on one EntryIndex, which owns the assignment: a
+dict from entry codes v * n + t to blockers in push order, so also the
+trail.  Every entry, decided or forced, is pushed onto it; a search node
+records its length as its mark, and backtracking pops it back to the
+mark, undoing those entries in the index.  Pairs are decoded only for
+output.  The search is a loop over an explicit stack of nodes, so its
 depth costs no Python recursion.
 """
 
@@ -62,12 +63,12 @@ class Verdict:
 
 
 def _propagate(
-    g: VisGraph, mask: list[int], idx: EntryIndex, mark: int
+    g: VisGraph, mask: list[int], idx: EntryIndex, c: int, b: int
 ) -> Violation | None:
-    """Close idx's assignment under NC1-NC3 forcing, assigning on its
-    trail.  mask is candidate_table(g).mask.
+    """Push the entry c -> b onto idx's closed assignment and close it
+    again under NC1-NC3 forcing, assigning on its trail.  mask is
+    candidate_table(g).mask.
 
-    The assignment is closed apart from the entries pushed since mark.
     Only dirty entries are visited: an entry is dirty from its assignment
     or from a change to an entry it reads until its next visit, and a
     clean entry's requirements are all assigned and met.  Visits come in
@@ -75,47 +76,42 @@ def _propagate(
     existed when it started; an entry dirtied at or behind the pass's
     cursor, or assigned during the pass, waits for the next pass.  So
     the bitmask `now` holds the dirty entries still ahead in this pass
-    and `later` the rest, bit v * n + t standing for entry (v, t).  An
-    entry assigned during the pass goes to `later` at once and stays
-    dirty until visited, so the cursor decides only for entries that
-    existed when the pass started.  The readers of an entry
-    (x, y) -> b are NC2 and NC3 case 2 of the entries blocked by y and
-    the NC3 reverse scan of (b, .) -> x.
+    and `later` the rest, the entry codes being the bits.  An entry
+    assigned during the pass goes to `later` at once and stays dirty
+    until visited, so the cursor decides only for entries that existed
+    when the pass started.  The first pass visits c and its readers
+    (EntryIndex.assign).
 
     Returns the first violation hit (forced value outside the candidate
     set, contradiction with an existing entry, or any residual NC1b / NC4
-    breach on the closure), or None if consistent.  The closure at mark
+    breach on the closure), or None if consistent.  The closure before c
     was violation-free, so NC1b and NC4 are checked only on the entries
-    pushed since mark.  NC5 is left to the caller, at total assignments.
+    pushed since.  NC5 is left to the caller, at total assignments.
     """
-    n, a = g.n, idx.a
-    by_viewer, by_blocker = idx.by_viewer, idx.by_blocker
-    now = later = 0
-    for x, y in idx.pairs[mark:]:
-        b = a[x, y]
-        now |= 1 << x * n + y | by_blocker[y] | by_viewer[b][x] << b * n
+    n, a, mark = g.n, idx.a, len(idx.a)
+    now, later = 1 << c | idx.assign(c, b), 0
     while now:
         while now:
             low = now & -now
             now ^= low
             ahead = -low << 1  # the codes above the entry being visited
-            pair = divmod(low.bit_length() - 1, n)
-            for req in entry_requirements(idx, pair, a[pair]):
+            c = low.bit_length() - 1
+            for req in entry_requirements(idx, c, a[c]):
                 if isinstance(req, Violation):
                     return req
-                cur = a.get(req.pair)  # req is open: unassigned or clashing
+                (x, y), b = req.pair, req.value
+                forced = x * n + y
+                cur = a.get(forced)  # req is open: unassigned or clashing
                 if cur is not None:
                     return _mismatch(req, cur)
-                (x, y), b = req.pair, req.value
-                if not mask[b] >> x * n + y & 1:
+                if not mask[b] >> forced & 1:
                     return _mismatch(req, None)
-                idx.assign(req.pair, b)
-                later |= 1 << x * n + y
-                readers = (by_blocker[y] | by_viewer[b][x] << b * n) & ~(now | later)
+                later |= 1 << forced
+                readers = idx.assign(forced, b) & ~(now | later)
                 now |= readers & ahead
                 later |= readers & ~ahead
         now, later = later, 0
-    return next(residual_violations(g, idx, idx.pairs[mark:]), None)
+    return next(residual_violations(g, idx, mark), None)
 
 
 def find_assignment(
@@ -135,14 +131,13 @@ def find_assignment(
     for c in bits_from(t.inv & ~once, 0):  # the first pair without one
         return Verdict(False, certificate=EmptyCandidateSet(divmod(c, n)))
 
-    # (pair, candidates cw first) for one-candidate, then two-candidate codes
+    # (code, candidates cw first) for one-candidate, then two-candidate codes
     cw, ccw = t.cw, t.ccw
-    order = [(divmod(c, n), (cw[c] if ccw[c] is None else ccw[c],))
-             for c in bits_from(t.inv & ~twice, 0)]
-    order += [(divmod(c, n), (cw[c], ccw[c])) for c in bits_from(twice, 0)]
+    order = [(c, (cw[c] if ccw[c] is None else ccw[c],)) for c in bits_from(t.inv & ~twice, 0)]
+    order += [(c, (cw[c], ccw[c])) for c in bits_from(twice, 0)]
     conflicts: list[tuple[int, Violation]] = []
     nodes = 0
-    idx = EntryIndex(g, {})
+    idx = EntryIndex(g)
     # One frame per decided variable: [its position in order, the index
     # of its next value, the trail's length before it was assigned].
     stack: list[list[int]] = []
@@ -152,7 +147,7 @@ def find_assignment(
         if bad is None:
             pos = next((p for p in range(pos, len(order)) if order[p][0] not in idx.a), -1)
             if pos >= 0:
-                stack.append([pos, 0, len(idx.pairs)])
+                stack.append([pos, 0, len(idx.a)])
             else:  # a total assignment: only NC5 is left to check
                 bad = next(_nc5_violations(idx), None)
                 if bad is None:
@@ -162,7 +157,7 @@ def find_assignment(
         while stack:
             frame = stack[-1]
             pos, i, mark = frame
-            pair, values = order[pos]
+            c, values = order[pos]
             idx.undo(mark)
             if i < len(values):
                 frame[1] = i + 1
@@ -171,14 +166,13 @@ def find_assignment(
                     raise SearchBudgetExceeded(
                         f"no verdict within {node_budget} search nodes"
                     )
-                idx.assign(pair, values[i])
-                bad = _propagate(g, t.mask, idx, mark)
+                bad = _propagate(g, t.mask, idx, c, values[i])
                 break
             stack.pop()
         else:
             return Verdict(False, certificate=ExhaustedSearch(tuple(conflicts)))
 
-    found = idx.a
+    found = {divmod(c, n): b for c, b in idx.a.items()}
     report = verify(g, found)
     if not report.ok:  # propagation and the checker disagree: a bug
         raise AssertionError(f"accepted assignment failed verification: {report}")

@@ -22,6 +22,7 @@ from pseudovis import (
 )
 from pseudovis.blockers import all_candidates, entry_arcs
 from pseudovis.conditions import (
+    EntryIndex,
     SeparablePair,
     Violation,
     _mismatch,
@@ -48,6 +49,20 @@ def cycle_graph(n: int, chords=()) -> VisGraph:
 
 def complete_graph(n: int) -> VisGraph:
     return validate_graph(n, [[i, j] for i in range(n) for j in range(i + 1, n)])
+
+
+def entry_index(g: VisGraph, a: dict) -> EntryIndex:
+    """An EntryIndex holding the pair-keyed assignment a, pushed in a's
+    order."""
+    idx = EntryIndex(g)
+    for (v, t), b in a.items():
+        idx.assign(v * g.n + t, b)
+    return idx
+
+
+def pairs_of(idx: EntryIndex) -> dict:
+    """idx's assignment keyed by pairs, in trail order."""
+    return {divmod(c, idx.n): b for c, b in idx.a.items()}
 
 
 def ccw_dist(n: int, a: int, b: int) -> int:

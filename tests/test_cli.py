@@ -1,8 +1,13 @@
 import gc
+import io
 import json
+import tempfile
 import weakref
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pseudovis import (
     assignment_to_json,
@@ -186,6 +191,134 @@ def test_missing_field_is_named_input_error(tmp_path, capsys, command, texts, ke
     assert code == 2
     assert captured.out == ""
     assert captured.err == f"error: missing field {key!r}\n"
+
+
+# Valid documents for the fuzzer below to break: a polygon, its graph and
+# its oracle blockers.
+FUZZ_POLYGON = random_simple_polygon(7, 3)
+FUZZ_BASES = {
+    "graph": json.loads(graph_to_json(visibility_graph(FUZZ_POLYGON))),
+    "polygon": json.loads(polygon_to_json(FUZZ_POLYGON)),
+    "assignment": json.loads(assignment_to_json(geometric_blockers(FUZZ_POLYGON))),
+}
+FUZZ_FIELDS = {
+    "graph": {"n": int, "edges": list},
+    "polygon": {"vertices": list},
+    "assignment": {"blockers": list},
+}
+FUZZ_ITEMS = {"graph": "edges", "polygon": "vertices", "assignment": "blockers"}
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**6, 10**6) | st.floats() | st.text(max_size=4),
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.text(max_size=4), kids, max_size=3),
+    max_leaves=6,
+)
+
+
+def is_int_pair(v) -> bool:
+    return type(v) is list and len(v) == 2 and all(type(x) is int for x in v)
+
+
+def is_row(v) -> bool:
+    return type(v) is dict and all(type(v.get(k)) is int for k in ("from", "to", "blocker"))
+
+
+def break_semantics(draw, kind: str, doc: dict) -> None:
+    """One mutation that keeps doc well-typed but invalid for its loader."""
+    items = doc[FUZZ_ITEMS[kind]]
+    pick = draw(st.integers(0, len(items) - 1))
+    if kind == "graph":
+        n, v = doc["n"], draw(st.integers(0, doc["n"] - 1))
+        way = draw(st.sampled_from(["small-n", "large-n", "range", "loop", "cycle"]))
+        if way == "small-n":
+            doc["n"] = draw(st.integers(-3, 2))
+        elif way == "large-n":
+            doc["n"] = n + draw(st.integers(1, 3))
+        elif way == "range":
+            items.append(draw(st.sampled_from([[v, n + pick], [-1 - pick, v]])))
+        elif way == "loop":
+            items.append([v, v])
+        else:
+            items.remove(sorted((v, (v + 1) % n)))
+    elif kind == "polygon":
+        way = draw(st.sampled_from(["few", "duplicate", "clockwise", "collinear"]))
+        if way == "few":
+            del items[draw(st.integers(0, 2)):]
+        elif way == "duplicate":
+            items.insert(draw(st.integers(0, len(items))), list(items[pick]))
+        elif way == "clockwise":
+            items.reverse()
+        else:  # on the line through a vertex and the next, or a duplicate
+            (x0, y0), (x1, y1) = items[pick - 1], items[pick]
+            items.append([2 * x1 - x0, 2 * y1 - y0])
+    else:
+        row = dict(items[pick], blocker=draw(st.integers(-1, 7)))
+        items.insert(draw(st.integers(0, len(items))), row)
+
+
+@st.composite
+def broken_input(draw, kind: str):
+    """The text (or bytes) of a FUZZ_BASES document broken in one way
+    that its loader must reject."""
+    text = json.dumps(FUZZ_BASES[kind])
+    doc = json.loads(text)
+    way = draw(st.sampled_from(
+        ["truncate", "bytes", "root", "drop", "retype", "item", "semantic"]
+    ))
+    if way == "truncate":  # an object without its closing brace
+        return text[:draw(st.integers(0, len(text) - 1))]
+    if way == "bytes":  # not UTF-8
+        cut = draw(st.integers(0, len(text)))
+        return text[:cut].encode() + b"\xff" + text[cut:].encode()
+    fields = FUZZ_FIELDS[kind]
+    if way == "root":
+        doc = draw(json_values.filter(lambda v: type(v) is not dict))
+    elif way == "drop":
+        del doc[draw(st.sampled_from(sorted(fields)))]
+    elif way == "retype":
+        key = draw(st.sampled_from(sorted(fields)))
+        doc[key] = draw(json_values.filter(lambda v: type(v) is not fields[key]))
+    elif way == "item":
+        items = doc[FUZZ_ITEMS[kind]]
+        fine = is_row if kind == "assignment" else is_int_pair
+        bad = draw(json_values.filter(lambda v: not fine(v)))
+        items[draw(st.integers(0, len(items) - 1))] = bad
+    else:
+        break_semantics(draw, kind, doc)
+    return json.dumps(doc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_fuzzed_inputs_are_input_errors(data):
+    """Malformed graph, polygon and assignment files exit 2 through the
+    CLI with one error line, never a traceback or a verdict."""
+    command = data.draw(st.sampled_from(["recognize", "check graph", "check blockers", "oracle"]))
+    if command == "recognize":
+        argv, inputs = ["recognize"], [data.draw(broken_input("graph"))]
+    elif command == "oracle":
+        what = data.draw(st.sampled_from(["visgraph", "blockers", "ve", "lemmas"]))
+        argv, inputs = ["oracle", what], [data.draw(broken_input("polygon"))]
+    else:
+        graph, blockers = json.dumps(FUZZ_BASES["graph"]), json.dumps(FUZZ_BASES["assignment"])
+        if command == "check graph":
+            graph = data.draw(broken_input("graph"))
+        else:
+            blockers = data.draw(broken_input("assignment"))
+        argv, inputs = ["check"], [graph, blockers]
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for k, body in enumerate(inputs):
+            path = Path(tmp) / f"in{k}.json"
+            path.write_bytes(body if isinstance(body, bytes) else body.encode())
+            paths.append(str(path))
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv + paths)
+    assert (code, out.getvalue()) == (2, ""), (argv, inputs, err.getvalue())
+    assert err.getvalue().startswith("error: "), err.getvalue()
+    assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n"), err.getvalue()
 
 
 def test_key_error_from_a_bug_is_not_an_input_error(monkeypatch, tmp_path):

@@ -33,11 +33,13 @@ from pseudovis.conditions import (
 from pseudovis.graph_core import canonical_json
 from support import (
     cycle_graph,
+    entry_index,
     full_scan_nc5,
     naive_entry_requirements,
     naive_pinched_quadruples,
     naive_residual_violations,
     naive_separable_pairs,
+    pairs_of,
     reflect_graph,
     reflect_index,
 )
@@ -218,13 +220,13 @@ def arbitrary_partial_assignments(draw):
 @given(st.one_of(graph_and_assignment(), arbitrary_partial_assignments()))
 def test_requirements_are_open(ga):
     g, a = ga
-    idx = EntryIndex(g, a)
-    for pair, k in a.items():
-        if k in pair:
+    idx = entry_index(g, a)
+    for (i, j), k in a.items():
+        if k in (i, j):
             continue  # entry_requirements assumes k is neither end
-        for req in entry_requirements(idx, pair, k):
+        for req in entry_requirements(idx, i * g.n + j, k):
             if isinstance(req, _Requirement):
-                assert a.get(req.pair) != req.value, (pair, k, req)
+                assert a.get(req.pair) != req.value, ((i, j), k, req)
 
 
 # Near arc (3,0)->2 and far arc (2,4)->1 both wrap past vertex 0.
@@ -240,22 +242,29 @@ def test_entry_requirements_match_vertex_scans(ga, assign):
     in the same order; with assign, every requirement on an unassigned
     pair is assigned before the generator resumes, as propagation does."""
     g, a = ga
+    n = g.n
 
-    def run(reqs, b, put):
+    def run(reqs, has, put):
         out = []
         for req in reqs:
             out.append(req)
-            if assign and isinstance(req, _Requirement) and req.pair not in b:
+            if assign and isinstance(req, _Requirement) and not has(req.pair):
                 put(req.pair, req.value)
         return out
 
-    for pair, k in sorted(a.items()):
-        if k in pair:
+    for (i, j), k in sorted(a.items()):
+        if k in (i, j):
             continue  # entry_requirements assumes k is neither end
-        idx, b_ref = EntryIndex(g, a), dict(a)
-        got = run(entry_requirements(idx, pair, k), idx.a, idx.assign)
-        want = run(naive_entry_requirements(g, b_ref, pair, k), b_ref, b_ref.__setitem__)
+        idx, b_ref = entry_index(g, a), dict(a)
+        got = run(
+            entry_requirements(idx, i * n + j, k),
+            lambda p: p[0] * n + p[1] in idx.a,
+            lambda p, b: idx.assign(p[0] * n + p[1], b),
+        )
+        want = run(naive_entry_requirements(g, b_ref, (i, j), k), b_ref.__contains__,
+                   b_ref.__setitem__)
         assert got == want
+        assert pairs_of(idx) == b_ref
 
 
 def random_chord_graph(rng: random.Random) -> VisGraph:
@@ -274,8 +283,7 @@ def nc4_with_a_fresh_entry(g, a, fresh, separable, hits):
     """residual_violations' NC4 part with the entries of fresh pushed last,
     against every record of separable (in its order) whose two pairs carry
     its blocker, one of them fresh; hits counts which pair that is."""
-    idx = EntryIndex(g, a)
-    found = list(residual_violations(g, idx, idx.pairs[len(a) - len(fresh):]))
+    found = list(residual_violations(g, entry_index(g, a), len(a) - len(fresh)))
     new = {pair for pair, _ in fresh}
     recs = [
         rec for rec in separable
@@ -290,7 +298,7 @@ def nc4_with_a_fresh_entry(g, a, fresh, separable, hits):
     return found
 
 
-def test_first_new_residual_matches_full_scan():
+def test_residual_on_fresh_entries_matches_full_scan():
     """On an assignment whose entries before the fresh ones have no NC1b
     or NC4 violation, checking NC1b and NC4 on the fresh entries alone
     finds the first violation of the full residual scans.  On any
@@ -309,7 +317,7 @@ def test_first_new_residual_matches_full_scan():
         a, rest = {}, []
         for pair, k in entries:  # a clean base, built greedily
             a[pair] = k
-            if next(residual_violations(g, EntryIndex(g, a), list(a)), None) is not None:
+            if next(residual_violations(g, entry_index(g, a), 0), None) is not None:
                 del a[pair]
                 rest.append((pair, k))
         fresh = rng.sample(rest, min(len(rest), rng.randint(1, 3)))
@@ -343,8 +351,8 @@ def test_residual_nc5_matches_full_pinch_scan():
             for pair, cs in all_candidates(g).items()
             if not cs.is_empty and rng.random() < share
         }
-        idx = EntryIndex(g, a)
-        residual = list(residual_violations(g, idx, idx.pairs))
+        idx = entry_index(g, a)
+        residual = list(residual_violations(g, idx, 0))
         assert residual == naive_residual_violations(g, a, naive_separable_pairs(g)), a
         nc5 = list(_nc5_violations(idx))
         assert nc5 == full_scan_nc5(g, a), a
@@ -361,17 +369,17 @@ def test_residual_nc5_on_the_trail_matches_full_pinch_scan():
     for _ in range(300):
         g = random_chord_graph(rng)
         cand = all_candidates(g)
-        entries = [(p, cs.members()) for p, cs in cand.items() if not cs.is_empty]
-        idx = EntryIndex(g, {})
+        entries = [(i * g.n + j, cs.members()) for (i, j), cs in cand.items() if not cs.is_empty]
+        idx = EntryIndex(g)
         for _ in range(60):
-            free = [(p, values) for p, values in entries if p not in idx.a]
+            free = [(c, values) for c, values in entries if c not in idx.a]
             if free and rng.random() < 0.85:
-                p, values = rng.choice(free)
-                idx.assign(p, rng.choice(values))
+                c, values = rng.choice(free)
+                idx.assign(c, rng.choice(values))
             else:
-                idx.undo(rng.randint(max(0, len(idx.pairs) - 8), len(idx.pairs)))
+                idx.undo(rng.randint(max(0, len(idx.a) - 8), len(idx.a)))
             nc5 = list(_nc5_violations(idx))
-            assert nc5 == full_scan_nc5(g, idx.a), idx.a
+            assert nc5 == full_scan_nc5(g, pairs_of(idx)), idx.a
             hits += len(nc5)
     assert hits > 0
 

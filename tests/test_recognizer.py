@@ -25,7 +25,14 @@ from pseudovis.blockers import candidate_table
 from pseudovis.conditions import EntryIndex, Violation
 from pseudovis.graph_core import bits_from
 import support
-from support import brute_force_accepts, complete_graph, cycle_graph, naive_find_assignment
+from support import (
+    brute_force_accepts,
+    complete_graph,
+    cycle_graph,
+    entry_index,
+    naive_find_assignment,
+    pairs_of,
+)
 
 
 def cycle_chords(n: int) -> list[tuple[int, int]]:
@@ -132,20 +139,23 @@ def test_search_agrees_with_brute_force(g):
 @given(st.data())
 def test_trail_keeps_index_in_step(data):
     # After every assign or undo, the index equals one rebuilt from its
-    # assignment, whose order is the trail's.
+    # assignment, and the assignment holds the pushed codes in push order,
+    # undo dropping the latest.
     n = data.draw(st.integers(3, 9))
     g = cycle_graph(n)
-    idx = EntryIndex(g, {})
+    idx, pushed = EntryIndex(g), []
     for _ in range(data.draw(st.integers(1, 40))):
-        free = [(v, t) for v in range(n) for t in range(n) if v != t and (v, t) not in idx.a]
+        free = [v * n + t for v in range(n) for t in range(n) if v != t and v * n + t not in idx.a]
         if free and data.draw(st.booleans()):
-            idx.assign(data.draw(st.sampled_from(free)), data.draw(st.integers(0, n - 1)))
+            pushed.append(data.draw(st.sampled_from(free)))
+            idx.assign(pushed[-1], data.draw(st.integers(0, n - 1)))
         else:
-            idx.undo(data.draw(st.integers(0, len(idx.pairs))))
-        rebuilt = EntryIndex(g, idx.a)
+            del pushed[data.draw(st.integers(0, len(idx.a))):]
+            idx.undo(len(pushed))
+        rebuilt = entry_index(g, pairs_of(idx))
         for field in EntryIndex.__slots__:
             assert getattr(idx, field) == getattr(rebuilt, field), field
-        assert list(idx.a) == idx.pairs
+        assert list(idx.a) == pushed
 
 
 def test_mutated_polygon_graphs():
@@ -324,7 +334,7 @@ def test_nc5_hit_at_a_total_assignment_backtracks(monkeypatch):
 
         def patched_nc5(idx):
             nonlocal fired
-            if rejects(idx.a):
+            if rejects(pairs_of(idx)):
                 fired += 1
                 yield fake
             yield from nc5(idx)
