@@ -49,21 +49,21 @@ class CandidateSet:
         return self.cw is None and self.ccw is None
 
 
-def entry_arcs(n: int, pair: Pair, k: int) -> tuple[Pair, Pair]:
+def entry_arcs(n: int, pair: Pair, k: int) -> tuple[int, int, int, int]:
     """The two arcs of an entry (pair -> k): k splits the walk between
     viewer and target that holds it into the near arc, from the viewer to
     the blocker, and the far arc, from the blocker to the target.  Each
-    is returned as the endpoints of an inclusive counterclockwise walk
-    and excludes k.
+    excludes k and is returned as the first vertex of its
+    counterclockwise walk and its arc_mask: (near0, near, far0, far).
 
     Precondition, not checked: k is neither viewer nor target.  A
     candidate of the pair never is, and the other callers skip both
     endpoints before calling.
     """
     i, j = pair
-    if strictly_inside(n, i, j, k):
-        return (i, (k - 1) % n), ((k + 1) % n, j)
-    return ((k + 1) % n, i), (j, (k - 1) % n)
+    if (k - i) % n < (j - i) % n:  # strictly_inside(n, i, j, k), as k != i
+        return i, arc_mask(n, i, (k - 1) % n), (k + 1) % n, arc_mask(n, (k + 1) % n, j)
+    return (k + 1) % n, arc_mask(n, (k + 1) % n, i), j, arc_mask(n, j, (k - 1) % n)
 
 
 def first_seen(n: int, row: int, target: int, step: int) -> int:
@@ -80,12 +80,14 @@ class CandidateTable:
     """The candidates of the ordered pairs by entry code c = v * n + t, the
     codes of conditions.EntryIndex: bit c of inv is set iff (v, t) is an
     invisible pair, cw[c] and ccw[c] are its candidates as in CandidateSet,
-    and bit c of mask[k] is set iff k is one of them."""
+    bit c of mask[k] is set iff k is one of them, and bit c of cw_mask[k]
+    iff k is its cw one."""
 
-    __slots__ = ("n", "inv", "cw", "ccw", "mask")
+    __slots__ = ("n", "inv", "cw", "ccw", "mask", "cw_mask")
 
-    def __init__(self, n: int, inv: int, cw: list, ccw: list, mask: list[int]) -> None:
-        self.n, self.inv, self.cw, self.ccw, self.mask = n, inv, cw, ccw, mask
+    def __init__(self, n: int, inv: int, cw: list, ccw: list, mask: list, cw_mask: list) -> None:
+        self.n, self.inv, self.cw, self.ccw = n, inv, cw, ccw
+        self.mask, self.cw_mask = mask, cw_mask
 
     def code(self, pair: Pair) -> int | None:
         """pair's code if it is an ordered invisible pair, else None.  Its
@@ -116,7 +118,7 @@ def candidate_table(g: VisGraph) -> CandidateTable:
     candidate sets.
     """
     n, r = g.n, rows(g)
-    cw, ccw, mask = [None] * (n * n), [None] * (n * n), [0] * n
+    cw, ccw, cw_mask, ccw_mask = [None] * (n * n), [None] * (n * n), [0] * n, [0] * n
     inv = 0
     for i in range(n):
         base = i * n
@@ -126,8 +128,8 @@ def candidate_table(g: VisGraph) -> CandidateTable:
             if (v - u) % n < 2 or strictly_inside(n, u, v, i):
                 continue  # no target between u and v, or i's own gap
             run = bits_from(arc_mask(n, (u + 1) % n, (v - 1) % n), (u + 1) % n)
-            for k, side, walk in ((u, cw, run), (v, ccw, run[::-1])):
-                near = arc_mask(n, *entry_arcs(n, (i, run[0]), k)[0])
+            for k, side, masks, walk in ((u, cw, cw_mask, run), (v, ccw, ccw_mask, run[::-1])):
+                near = entry_arcs(n, (i, run[0]), k)[1]
                 far_sees = got = 0
                 for j in walk:
                     far_sees |= r[j]
@@ -135,8 +137,9 @@ def candidate_table(g: VisGraph) -> CandidateTable:
                         break
                     side[base + j] = k
                     got |= 1 << j
-                mask[k] |= got << base
-    return CandidateTable(n, inv, cw, ccw, mask)
+                masks[k] |= got << base
+    mask = [x | y for x, y in zip(cw_mask, ccw_mask)]
+    return CandidateTable(n, inv, cw, ccw, mask, cw_mask)
 
 
 @derived_table

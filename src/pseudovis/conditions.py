@@ -102,14 +102,17 @@ class EntryIndex:
     - by_blocker[b]: bit v * n + t is set iff (v, t) -> b, so ascending
       bits are the entries in lexicographic order.
 
-    rows is the graph's rows(g), read once here.
+    rows and cw_mask are the graph's rows(g) and candidate_table(g).cw_mask,
+    read once here; column has bit v * n set for every vertex v.
     """
 
-    __slots__ = ("n", "rows", "a", "by_viewer", "by_target", "viewers", "by_blocker")
+    __slots__ = ("n", "rows", "cw_mask", "column", "a",
+                 "by_viewer", "by_target", "viewers", "by_blocker")
 
     def __init__(self, g: VisGraph) -> None:
         n = self.n = g.n
-        self.rows = rows(g)
+        self.rows, self.cw_mask = rows(g), candidate_table(g).cw_mask
+        self.column = sum(1 << v * n for v in range(n))
         self.a: dict[int, int] = {}
         self.by_viewer = [[0] * n for _ in range(n)]
         self.by_target = [[0] * n for _ in range(n)]
@@ -118,16 +121,24 @@ class EntryIndex:
 
     def assign(self, c: int, b: int) -> int:
         """Push the entry c -> b, code c unassigned, and return the codes
-        of its readers, the entries whose requirements read it: for
-        c = v * n + t, NC2 and NC3 case 2 of the entries blocked by t and
-        the NC3 reverse scan of (b, .) -> v."""
-        v, t = divmod(c, self.n)
+        of its readers, the only entries whose requirements read it: for
+        c = v * n + t, NC2 of (i, j) -> t with v on its near arc (i on the
+        walk t + 1 .. v if t is i's cw candidate, else on v .. t - 1), NC3
+        case 2 of (i, v) -> t and the NC3 reverse scan of (b, .) -> v."""
+        n = self.n
+        v, t = divmod(c, n)
         self.a[c] = b
         self.by_viewer[v][b] |= 1 << t
         self.by_target[t][b] |= 1 << v
         self.viewers[t] |= 1 << v
         self.by_blocker[b] |= 1 << c
-        return self.by_blocker[t] | self.by_viewer[b][v] << b * self.n
+        readers, mine = self.by_viewer[b][v] << b * n, self.by_blocker[t]
+        if mine:  # the codes of the viewers on the walks t + 1 .. v and v .. t - 1
+            nn, cw = n * n, self.cw_mask[t]
+            after = arc_mask(nn, (t + 1) % n * n, v * n + n - 1)
+            before = arc_mask(nn, v * n, (t - 1) % n * n + n - 1)
+            readers |= mine & (cw & after | ~cw & before | self.column << v)
+        return readers
 
     def undo(self, mark: int) -> None:
         """Unassign every entry pushed since a had mark entries."""
@@ -153,20 +164,21 @@ def entry_requirements(
     itself already breaks (a pair that must be invisible is visible).
     Pairs appear only in these records.
 
-    Each scan takes its open targets from idx with a few mask operations
-    and yields them in counterclockwise order from the start of its arc;
-    the reverse scan yields in ascending order.  A caller may assign each
-    yielded requirement before resuming: that changes only the bit of
-    the pair just yielded.
+    Each scan takes its open targets from idx with a few mask operations,
+    skips bits_from on an empty mask (most are), and yields them in
+    counterclockwise order from the start of its arc; the reverse scan
+    yields in ascending order.  A caller may assign each yielded
+    requirement before resuming: that changes only the bit of the pair
+    just yielded.
     """
     n, r, a = idx.n, idx.rows, idx.a
     i, j = pair = divmod(c, n)
     by_viewer, by_target = idx.by_viewer, idx.by_target
-    (near0, near1), (far0, far1) = entry_arcs(n, pair, k)
-    near = arc_mask(n, near0, near1)
+    near0, near, far0, far = entry_arcs(n, pair, k)
 
     # NC1 part (1): the blocker of (i,j) blocks i from the whole far arc.
-    for t in bits_from(arc_mask(n, far0, far1) & ~by_viewer[i][k], far0):
+    todo = far & ~by_viewer[i][k]
+    for t in bits_from(todo, far0) if todo else ():
         yield _Requirement((i, t), k, "NC1a", pair, k)
 
     # NC2: vertices between viewer and blocker are blocked from the target
@@ -174,7 +186,7 @@ def entry_requirements(
     # them from the blocker.
     sees_k = r[k]
     todo = near & (sees_k & ~by_target[j][k] | ~sees_k & idx.viewers[k])
-    for s in bits_from(todo, near0):
+    for s in bits_from(todo, near0) if todo else ():
         if sees_k >> s & 1:
             yield _Requirement((s, j), k, "NC2", pair, k)
         else:
@@ -196,9 +208,11 @@ def entry_requirements(
             yield _must_be_invisible(cond, pair, k, (j, k), (i, value))
         elif not by_viewer[i][k] >> value & 1:
             yield _Requirement((i, value), k, cond, pair, k, via=via)
-    for s in bits_from(near & ~by_viewer[j][value], near0):
+    todo = near & ~by_viewer[j][value]
+    for s in bits_from(todo, near0) if todo else ():
         yield _Requirement((j, s), value, cond, pair, k, via=via)
-    for t in bits_from(by_viewer[k][i] & ~(1 << j), 0):
+    todo = by_viewer[k][i] & ~(1 << j)
+    for t in bits_from(todo, 0) if todo else ():
         if r[j] >> t & 1:
             yield _must_be_invisible(cond, pair, k, (k, t), (j, t))
         elif not by_viewer[j][value] >> t & 1:
@@ -224,6 +238,8 @@ def nc4_partners(g: VisGraph) -> dict[int, tuple[int, int]]:
     nn, cycle = n * n, list(range(n)) * 2
     partners = {}
     for k, mk in enumerate(t.mask):
+        if mk & (mk - 1) == 0:
+            continue  # fewer than two candidate entries: no separable pair
         # after[x], before[x]: mk's codes on the walk k + 1 .. x, x .. k - 1
         after, before = [0] * n, [0] * n
         for grown, walk in ((after, cycle[k + 1:k + n]), (before, cycle[k + n - 1:k:-1])):
@@ -232,7 +248,7 @@ def nc4_partners(g: VisGraph) -> dict[int, tuple[int, int]]:
                 arc |= 1 << x
                 spread |= 1 << x * n
                 grown[x] = arc * spread & mk
-        cws = sum(1 << c for c in bits_from(mk, 0) if t.cw[c] == k)
+        cws = t.cw_mask[k]
         ccws = mk & ~cws
         for c in bits_from(mk, 0):
             i, j = divmod(c, n)

@@ -70,17 +70,18 @@ def _propagate(
     candidate_table(g).mask.
 
     Only dirty entries are visited: an entry is dirty from its assignment
-    or from a change to an entry it reads until its next visit, and a
-    clean entry's requirements are all assigned and met.  Visits come in
-    passes.  A pass visits, in increasing order, the dirty entries that
-    existed when it started; an entry dirtied at or behind the pass's
-    cursor, or assigned during the pass, waits for the next pass.  So
-    the bitmask `now` holds the dirty entries still ahead in this pass
-    and `later` the rest, the entry codes being the bits.  An entry
-    assigned during the pass goes to `later` at once and stays dirty
-    until visited, so the cursor decides only for entries that existed
-    when the pass started.  The first pass visits c and its readers
-    (EntryIndex.assign).
+    or from a change to an entry it reads (EntryIndex.assign returns
+    exactly those readers) until its next visit, and a clean entry's
+    requirements are all assigned and met, so its visit would yield
+    nothing.  Visits come in passes.  A pass visits, in increasing order,
+    the dirty entries that existed when it started; an entry dirtied at
+    or behind the pass's cursor, or assigned during the pass, waits for
+    the next pass.  So the bitmask `now` holds the dirty entries still
+    ahead in this pass and `later` the rest, the entry codes being the
+    bits.  An entry assigned during the pass goes to `later` at once and
+    stays dirty until visited, so the cursor decides only for entries
+    that existed when the pass started.  The first pass visits c and its
+    readers.
 
     Returns the first violation hit (forced value outside the candidate
     set, contradiction with an existing entry, or any residual NC1b / NC4

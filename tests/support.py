@@ -134,6 +134,28 @@ def naive_entry_arcs(n: int, pair, k: int) -> tuple[set[int], set[int]]:
     return walk(k, i), walk(j, k)
 
 
+def arc_walk(n: int, start: int, mask: int) -> list[int]:
+    """The vertices of mask in counterclockwise order from start, by a
+    plain scan: for an arc returned by entry_arcs, its walk."""
+    return [(start + d) % n for d in range(n) if mask >> (start + d) % n & 1]
+
+
+def naive_readers(g: VisGraph, a: dict, pair, b: int) -> set[int]:
+    """The codes of the entries of a that read the new entry pair -> b,
+    restated from entry_requirements' read sites: an entry (i, j) -> k
+    reads (s, k) for each s on its near arc (NC2's a[s*n+k]), (j, k)
+    (NC3 case 2's a.get(j*n+k)) and each entry (k, .) -> i (the reverse
+    scan's by_viewer[k][i])."""
+    n = g.n
+    v, t = pair
+    out = set()
+    for (i, j), k in a.items():
+        near = naive_entry_arcs(n, (i, j), k)[0]
+        if k == t and v in near or (j, k) == pair or (k, i) == (v, b):
+            out.add(i * n + j)
+    return out
+
+
 def naive_build_ve(g: VisGraph, a: dict) -> VEGraph:
     """Vertex-edge relation of an assignment, edge by edge: entry
     (i, t) -> b hides edge m from viewer i iff both ends of m lie on the
@@ -301,7 +323,8 @@ def naive_entry_requirements(g: VisGraph, a: dict, pair, k: int):
     dict alone: each scan walks its arc and looks every pair up."""
     n = g.n
     i, j = pair
-    near, far = [interval_vertices(n, *arc) for arc in entry_arcs(n, pair, k)]
+    near0, near_mask, far0, far_mask = entry_arcs(n, pair, k)
+    near, far = arc_walk(n, near0, near_mask), arc_walk(n, far0, far_mask)
     for t in far:
         if a.get((i, t)) != k:
             yield _Requirement((i, t), k, "NC1a", pair, k)

@@ -10,7 +10,9 @@ from pseudovis import (
     visibility_graph,
 )
 from pseudovis.blockers import entry_arcs
+from pseudovis.graph_core import arc_mask
 from support import (
+    arc_walk,
     complete_graph,
     cycle_graph,
     interval_vertices,
@@ -65,13 +67,15 @@ def test_entry_arcs_split_the_walk_holding_the_blocker():
                 for k in range(n):
                     if len({i, j, k}) < 3:
                         continue
-                    near, far = (
-                        interval_vertices(n, *arc) for arc in entry_arcs(n, (i, j), k)
-                    )
+                    near0, near_mask, far0, far_mask = entry_arcs(n, (i, j), k)
+                    near, far = arc_walk(n, near0, near_mask), arc_walk(n, far0, far_mask)
                     walk = interval_vertices(n, i, j)
                     if k not in walk:
                         walk = interval_vertices(n, j, i)
                     case = (n, i, j, k)
+                    # each mask is one walk, from its returned start
+                    assert near_mask == arc_mask(n, near0, near[-1]), case
+                    assert far_mask == arc_mask(n, far0, far[-1]), case
                     assert sorted(near + far + [k]) == sorted(walk), case
                     assert i in near and j in far, case
                     assert (set(near), set(far)) == naive_entry_arcs(n, (i, j), k), case

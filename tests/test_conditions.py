@@ -17,6 +17,7 @@ from pseudovis import (
     invisible_pairs,
     random_simple_polygon,
     separable_pairs,
+    validate_graph,
     verify,
     visibility_graph,
 )
@@ -30,13 +31,14 @@ from pseudovis.conditions import (
     residual_violations,
     violation_to_dict,
 )
-from pseudovis.graph_core import canonical_json
+from pseudovis.graph_core import bits_from, canonical_json
 from support import (
     cycle_graph,
     entry_index,
     full_scan_nc5,
     naive_entry_requirements,
     naive_pinched_quadruples,
+    naive_readers,
     naive_residual_violations,
     naive_separable_pairs,
     pairs_of,
@@ -177,9 +179,39 @@ def chord_graphs(draw):
     return cycle_graph(n, draw(st.frozensets(st.sampled_from(chords))))
 
 
-@given(chord_graphs())
+@st.composite
+def polygon_graphs(draw, lo=5, hi=14):
+    """A random polygon's visibility graph, and half the time that graph
+    with one of its non-edges added (the benchmark's mutants shape)."""
+    n = draw(st.integers(lo, hi))
+    g = visibility_graph(random_simple_polygon(n, draw(st.integers(0, 10**6))))
+    non = [(i, j) for i in range(n) for j in range(i + 1, n) if not g.visible(i, j)]
+    if non and draw(st.booleans()):
+        g = validate_graph(n, sorted(g.edges) + [draw(st.sampled_from(non))])
+    return g
+
+
+@given(st.one_of(chord_graphs(), polygon_graphs()))
 def test_separable_matches_definition_scan(g):
+    # On polygon graphs most blockers have fewer than two candidate
+    # entries, which nc4_partners skips.
     assert separable_pairs(g) == naive_separable_pairs(g)
+
+
+@settings(max_examples=300)
+@given(st.one_of(chord_graphs(), polygon_graphs(4, 12)), st.data())
+def test_assign_returns_exactly_the_entries_that_read_it(g, data):
+    # A candidate-drawn partial assignment and one more candidate entry:
+    # assign's readers are the entries whose requirements read it.
+    cand = all_candidates(g)
+    assignable = [p for p, cs in cand.items() if not cs.is_empty]
+    if not assignable:
+        return
+    pairs = data.draw(st.lists(st.sampled_from(assignable), min_size=1, unique=True))
+    a = {p: data.draw(st.sampled_from(cand[p].members())) for p in pairs}
+    pair, b = a.popitem()
+    readers = entry_index(g, a).assign(pair[0] * g.n + pair[1], b)
+    assert set(bits_from(readers, 0)) == naive_readers(g, a, pair, b)
 
 
 def test_nc4_fires_on_shared_separable_blocker():

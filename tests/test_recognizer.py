@@ -283,6 +283,15 @@ def test_search_matches_copying_search():
         g = visibility_graph(random_simple_polygon(n, 60000 + idx))
         chord = rng.choice(sorted(e for e in g.edges if (e[1] - e[0]) % n not in (1, n - 1)))
         check(validate_graph(n, sorted(g.edges - {chord})))
+    seeds = itertools.count(70000)
+    for _ in range(100):  # the benchmark's mutants: one non-edge added
+        non = []
+        while not non:  # a convex polygon's graph has none
+            seed = next(seeds)
+            n = 8 + seed % 5
+            g = visibility_graph(random_simple_polygon(n, seed))
+            non = [(i, j) for i in range(n) for j in range(i + 1, n) if not g.visible(i, j)]
+        check(validate_graph(n, sorted(g.edges | {rng.choice(non)})))
     assert all(kinds.values()), kinds
 
 
