@@ -35,8 +35,7 @@ def _read(path: str) -> str:
 
 def cmd_recognize(args) -> int:
     if args.budget < 1:
-        sys.stderr.write("recognize: need --budget >= 1\n")
-        return EXIT_INPUT
+        raise ValueError("recognize: need --budget >= 1")
     g = graph_from_json(_read(args.graph))
     verdict = recognizer.find_assignment(g, node_budget=args.budget)
     extra = None
@@ -97,8 +96,7 @@ def cmd_oracle(args) -> int:
 
 def cmd_gen(args) -> int:
     if args.n < 3 or args.count < 1:
-        sys.stderr.write("gen: need --n >= 3 and --count >= 1\n")
-        return EXIT_INPUT
+        raise ValueError("gen: need --n >= 3 and --count >= 1")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for offset in range(args.count):
@@ -180,8 +178,7 @@ def _parse_range(text: str) -> tuple[int, int]:
 def cmd_corpus(args) -> int:
     n_lo, n_hi = _parse_range(args.n)
     if n_lo < 3 or n_hi < n_lo or args.count < 1:
-        sys.stderr.write("corpus: need 3 <= n_lo <= n_hi and count >= 1\n")
-        return EXIT_INPUT
+        raise ValueError("corpus: need 3 <= n_lo <= n_hi and count >= 1")
     report = run_corpus(args.count, n_lo, n_hi, args.seed)
     sys.stdout.write(canonical_json(report))
     return EXIT_PASS if not report["failures"] else EXIT_FAIL
@@ -234,8 +231,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     cor = sub.add_parser("corpus", help="run the property battery on a corpus")
     cor.add_argument("--count", type=int, required=True)
-    cor.add_argument("--n", "--n-range", dest="n", required=True,
-                     help="vertex count or range a..b")
+    cor.add_argument("--n", required=True, help="vertex count or range a..b")
     cor.add_argument("--seed", type=int, default=0)
     cor.set_defaults(func=cmd_corpus)
 

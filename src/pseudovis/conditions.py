@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator, NamedTuple
 
-from .blockers import Assignment, CandidateSet, candidate_table, entry_arcs
+from .blockers import Assignment, candidate_table, entry_arcs
 from .errors import NotACandidate, UnknownPair
 from .graph_core import (
     Pair,
@@ -102,16 +102,18 @@ class EntryIndex:
     - by_blocker[b]: bit v * n + t is set iff (v, t) -> b, so ascending
       bits are the entries in lexicographic order.
 
-    rows and cw_mask are the graph's rows(g) and candidate_table(g).cw_mask,
-    read once here; column has bit v * n set for every vertex v.
+    rows, mask, cw_mask and partners are the graph's rows(g),
+    candidate_table(g).mask and .cw_mask and nc4_partners(g), read once
+    here; column has bit v * n set for every vertex v.
     """
 
-    __slots__ = ("n", "rows", "cw_mask", "column", "a",
+    __slots__ = ("n", "rows", "mask", "cw_mask", "partners", "column", "a",
                  "by_viewer", "by_target", "viewers", "by_blocker")
 
     def __init__(self, g: VisGraph) -> None:
-        n = self.n = g.n
-        self.rows, self.cw_mask = rows(g), candidate_table(g).cw_mask
+        n, t = g.n, candidate_table(g)
+        self.n, self.rows, self.mask, self.cw_mask = n, rows(g), t.mask, t.cw_mask
+        self.partners = nc4_partners(g)
         self.column = sum(1 << v * n for v in range(n))
         self.a: dict[int, int] = {}
         self.by_viewer = [[0] * n for _ in range(n)]
@@ -315,15 +317,13 @@ def _pinch_certified(idx: EntryIndex, i: int, j: int, s: int, t: int, m: int) ->
     )
 
 
-def _violations_iter(
-    g: VisGraph, a: Assignment, cand: dict[Pair, CandidateSet] | None
-) -> Iterator[Violation]:
+def _violations_iter(g: VisGraph, a: Assignment) -> Iterator[Violation]:
     t, idx = candidate_table(g), EntryIndex(g)
     for pair, k in a.items():
-        if (t.code(pair) is None) if cand is None else (pair not in cand):
+        c = t.code(pair)
+        if c is None:
             raise UnknownPair(f"{pair} is not an invisible pair")
-        c = pair[0] * g.n + pair[1]
-        if not (t.admits(c, k) if cand is None else cand[pair].contains(k)):
+        if not t.admits(c, k):
             raise NotACandidate(f"p{k} is not a candidate for {pair}")
         idx.assign(c, k)
 
@@ -335,7 +335,7 @@ def _violations_iter(
             actual = a.get(req.pair)
             if actual is not None:
                 yield _mismatch(req, actual)
-    yield from residual_violations(g, idx, 0)
+    yield from residual_violations(idx, 0)
     yield from _nc5_violations(idx)
 
 
@@ -359,9 +359,7 @@ def _nc4(b: int, pair_a: Pair, pair_b: Pair) -> Violation:
     )
 
 
-def residual_violations(
-    g: VisGraph, idx: EntryIndex, mark: int
-) -> Iterator[Violation]:
+def residual_violations(idx: EntryIndex, mark: int) -> Iterator[Violation]:
     """The NC1b and NC4 violations of idx's assignment of invisible pairs
     that involve a fresh entry, one pushed since idx.a had mark entries:
     the checks that are not a requirement of a single entry, so forcing
@@ -374,7 +372,7 @@ def residual_violations(
     checker appends it, and the search checks it at total assignments.
     """
     a, n, by_blocker = idx.a, idx.n, idx.by_blocker
-    partners, nn = nc4_partners(g), n * n
+    partners, nn = idx.partners, n * n
     # NC1 part (2): the roles of viewer and blocker cannot swap.  Both
     # entries of a swap report it.  The same pass collects NC4's pairs
     # (b, c, c2) of blocker b with c or c2 fresh; codes ascend as pairs
@@ -452,7 +450,7 @@ def check_conditions(g: VisGraph, a: Assignment) -> list[Violation]:
     """
     seen = set()
     out = []
-    for v in _violations_iter(g, a, None):
+    for v in _violations_iter(g, a):
         key = (v.condition, v.pairs, v.vertices)
         if key not in seen:
             seen.add(key)
@@ -461,12 +459,12 @@ def check_conditions(g: VisGraph, a: Assignment) -> list[Violation]:
 
 
 def first_violation(
-    g: VisGraph,
-    a: Assignment,
-    candidates: dict[Pair, CandidateSet] | None = None,
+    g: VisGraph, a: Assignment, candidates: object = None
 ) -> Violation | None:
-    """Cheapest witness that the assignment is inconsistent, if any."""
-    return next(_violations_iter(g, a, candidates), None)
+    """Cheapest witness that the assignment is inconsistent, if any.
+    candidates is unused: entries are checked against candidate_table(g)
+    alone, so one drawn from anywhere else raises NotACandidate."""
+    return next(_violations_iter(g, a), None)
 
 
 def violation_to_dict(v: Violation) -> dict:

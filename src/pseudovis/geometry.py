@@ -295,7 +295,7 @@ def _designated(r: tuple, ve_rows: tuple, t: CandidateTable, pair: Pair) -> int:
         raise OracleContradiction(
             f"viewer {i} sees {seen.bit_count()} edges between p{k} and p{k2}, expected 1"
         )
-    blocker = k if _on_walk(n, j, k2, seen.bit_length() - 1) else k2
+    blocker = k if seen & arc_mask(n, j, (k2 - 1) % n) else k2
     if not t.admits(i * n + j, blocker):
         raise OracleContradiction(
             f"geometric blocker p{blocker} of ({i},{j}) is not a candidate"
@@ -329,11 +329,6 @@ def geometric_blockers(p: Polygon) -> dict[Pair, int]:
     return {divmod(c, p.n): k for c, k in outcomes.items()}
 
 
-def _on_walk(n: int, a: int, b: int, m: int) -> bool:
-    """True iff edge m lies on the counterclockwise walk from a to b."""
-    return (m - a) % n < (b - a) % n
-
-
 def check_blocker_uniqueness(p: Polygon) -> list[str]:
     """Exactly-one-blocker scan over all ordered invisible pairs.
 
@@ -361,9 +356,10 @@ def check_blocker_uniqueness(p: Polygon) -> list[str]:
             failures.append(f"pair ({i},{j}): {algo}")
             continue
         by_ray = []
+        walk = arc_mask(n, i, (j - 1) % n)  # the edges of the walk from i to j
         for v, m in rays[i]:
-            away = (j, i) if strictly_inside(n, i, j, v) else (i, j)
-            if _on_walk(n, *away, m):
+            away = ~walk if strictly_inside(n, i, j, v) else walk
+            if away >> m & 1:
                 by_ray.append(v)
         if by_ray != [algo]:
             failures.append(
@@ -375,7 +371,8 @@ def check_blocker_uniqueness(p: Polygon) -> list[str]:
             # between the first vertex the viewer sees walking clockwise
             # from the target and the blocker itself.
             hit = table[(algo, i)]
-            if hit is None or not _on_walk(n, first_seen(n, r[i], j, -1), algo, hit[0]):
+            k = first_seen(n, r[i], j, -1)
+            if hit is None or not arc_mask(n, k, (algo - 1) % n) >> hit[0] & 1:
                 failures.append(
                     f"pair ({i},{j}): exit conventions disagree at p{algo}"
                 )

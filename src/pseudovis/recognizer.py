@@ -62,12 +62,9 @@ class Verdict:
     certificate: EmptyCandidateSet | ExhaustedSearch | None = None
 
 
-def _propagate(
-    g: VisGraph, mask: list[int], idx: EntryIndex, c: int, b: int
-) -> Violation | None:
+def _propagate(idx: EntryIndex, c: int, b: int) -> Violation | None:
     """Push the entry c -> b onto idx's closed assignment and close it
-    again under NC1-NC3 forcing, assigning on its trail.  mask is
-    candidate_table(g).mask.
+    again under NC1-NC3 forcing, assigning on its trail.
 
     Only dirty entries are visited: an entry is dirty from its assignment
     or from a change to an entry it reads (EntryIndex.assign returns
@@ -89,7 +86,7 @@ def _propagate(
     was violation-free, so NC1b and NC4 are checked only on the entries
     pushed since.  NC5 is left to the caller, at total assignments.
     """
-    n, a, mark = g.n, idx.a, len(idx.a)
+    n, a, mask, mark = idx.n, idx.a, idx.mask, len(idx.a)
     now, later = 1 << c | idx.assign(c, b), 0
     while now:
         while now:
@@ -112,7 +109,7 @@ def _propagate(
                 now |= readers & ahead
                 later |= readers & ~ahead
         now, later = later, 0
-    return next(residual_violations(g, idx, mark), None)
+    return next(residual_violations(idx, mark), None)
 
 
 def find_assignment(
@@ -167,7 +164,7 @@ def find_assignment(
                     raise SearchBudgetExceeded(
                         f"no verdict within {node_budget} search nodes"
                     )
-                bad = _propagate(g, t.mask, idx, c, values[i])
+                bad = _propagate(idx, c, values[i])
                 break
             stack.pop()
         else:

@@ -20,7 +20,6 @@ from .graph_core import (
     canonical_json,
     strictly_inside,
 )
-from .recognizer import verify
 
 
 @dataclass(frozen=True)
@@ -45,17 +44,11 @@ class CharacterizationFailure:
 def build_ve(g: VisGraph, a: Assignment, check: bool = True) -> VEGraph:
     """Vertex-edge relation determined by (graph, assignment).
 
-    With check=True the assignment must verify (total, candidate-drawn,
-    NC-clean); InvalidAssignment otherwise.  With check=False only an
-    entry whose blocker is its own viewer or target raises it.
+    Defined for any candidate-drawn assignment, partial or total: callers
+    that need a verified one run recognizer.verify first.  Only an entry
+    whose blocker is its own viewer or target raises InvalidAssignment.
+    check is ignored.
     """
-    if check:
-        report = verify(g, a)
-        if not report.ok:
-            raise InvalidAssignment(
-                "; ".join(report.problems)
-                or "; ".join(v.narrative for v in report.violations)
-            )
     n = g.n
     hidden = [0] * n  # bit m of hidden[i]: some entry of viewer i hides edge m
     for (i, t), b in a.items():

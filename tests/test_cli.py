@@ -34,6 +34,11 @@ def write(tmp_path, name, text):
     return str(path)
 
 
+def assert_one_error_line(err):
+    """The input-error contract: stderr is one line, the error: line."""
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
+
+
 @pytest.fixture
 def dent5_file(tmp_path):
     return write(tmp_path, "dent5.json", polygon_to_json(validate_polygon(DENT5_VERTICES)))
@@ -81,6 +86,7 @@ def test_recognize_rejects_nonpositive_budget(tmp_path, capsys, budget):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == "" and "--budget >= 1" in captured.err
+    assert_one_error_line(captured.err)
 
 
 def test_oracle_visgraph(tmp_path, capsys, dent5_file):
@@ -389,6 +395,7 @@ def test_gen_rejects_nonpositive_count(tmp_path, capsys, count):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == "" and "--count >= 1" in captured.err
+    assert_one_error_line(captured.err)
     assert not (tmp_path / "out").exists()
 
 
@@ -404,8 +411,11 @@ def test_corpus_deterministic(capsys):
 
 
 def test_corpus_rejects_small_n(capsys):
-    code, _ = run(capsys, ["corpus", "--count", "1", "--n", "2..2", "--seed", "1"])
+    code = main(["corpus", "--count", "1", "--n", "2..2", "--seed", "1"])
+    captured = capsys.readouterr()
     assert code == 2
+    assert captured.out == "" and "3 <= n_lo" in captured.err
+    assert_one_error_line(captured.err)
 
 
 def test_check_clean(tmp_path, capsys, dent5_file):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pseudovis import (
+    CandidateSet,
     NotACandidate,
     SeparablePair,
     UnknownPair,
@@ -114,6 +115,17 @@ def test_out_of_range_entries_are_rejected(pair, k, error, problem):
         first_violation(g, a)
     unassigned = [f"({i},{j}) is unassigned" for i, j in invisible_pairs(g) if (i, j) != pair]
     assert verify(g, a) == VerifyReport(False, (problem, *unassigned), ())
+
+
+def test_first_violation_checks_the_candidate_table_only():
+    """A candidate dict passed to first_violation is not trusted: an entry
+    that it admits but the graph's candidate table does not still raises."""
+    g = visibility_graph(random_simple_polygon(8, 1))
+    cand = dict(all_candidates(g))
+    assert cand[(2, 5)] == CandidateSet(4, None)
+    cand[(2, 5)] = CandidateSet(4, 1)  # 1 is not a candidate of (2, 5)
+    with pytest.raises(NotACandidate):
+        first_violation(g, {(2, 5): 1}, cand)
 
 
 def test_partial_assignment_suspends(dent5_graph):
@@ -315,7 +327,7 @@ def nc4_with_a_fresh_entry(g, a, fresh, separable, hits):
     """residual_violations' NC4 part with the entries of fresh pushed last,
     against every record of separable (in its order) whose two pairs carry
     its blocker, one of them fresh; hits counts which pair that is."""
-    found = list(residual_violations(g, entry_index(g, a), len(a) - len(fresh)))
+    found = list(residual_violations(entry_index(g, a), len(a) - len(fresh)))
     new = {pair for pair, _ in fresh}
     recs = [
         rec for rec in separable
@@ -349,7 +361,7 @@ def test_residual_on_fresh_entries_matches_full_scan():
         a, rest = {}, []
         for pair, k in entries:  # a clean base, built greedily
             a[pair] = k
-            if next(residual_violations(g, entry_index(g, a), 0), None) is not None:
+            if next(residual_violations(entry_index(g, a), 0), None) is not None:
                 del a[pair]
                 rest.append((pair, k))
         fresh = rng.sample(rest, min(len(rest), rng.randint(1, 3)))
@@ -384,7 +396,7 @@ def test_residual_nc5_matches_full_pinch_scan():
             if not cs.is_empty and rng.random() < share
         }
         idx = entry_index(g, a)
-        residual = list(residual_violations(g, idx, 0))
+        residual = list(residual_violations(idx, 0))
         assert residual == naive_residual_violations(g, a, naive_separable_pairs(g)), a
         nc5 = list(_nc5_violations(idx))
         assert nc5 == full_scan_nc5(g, a), a
