@@ -68,12 +68,14 @@ def entry_arcs(n: int, pair: Pair, k: int) -> tuple[int, int, int, int]:
 
 def first_seen(n: int, row: int, target: int, step: int) -> int:
     """First vertex the viewer with rows(g) mask row sees walking from the
-    target, one step of -1 (clockwise) or +1 (counterclockwise) at a time.
-    The viewer sees both its neighbours, so the walk always ends."""
-    k = (target + step) % n
-    while not row >> k & 1:
-        k = (k + step) % n
-    return k
+    target, one step of -1 (clockwise) or +1 (counterclockwise) at a time:
+    the highest set bit below the target or the lowest above it, wrapping
+    around.  The viewer sees both its neighbours; a row with no bit but the
+    target's gives the target."""
+    if step < 0:
+        return (row & (1 << target) - 1 or row).bit_length() - 1
+    above = row & -(2 << target) or row
+    return (above & -above).bit_length() - 1
 
 
 class CandidateTable:

@@ -20,7 +20,7 @@ from .errors import (
     PseudovisError,
     SearchBudgetExceeded,
 )
-from .graph_core import canonical_json, graph_from_json, graph_to_json
+from .graph_core import MAX_VERTICES, canonical_json, graph_from_json, graph_to_json
 from .vertex_edge import build_ve, check_ve_characterization, ve_to_json
 
 EXIT_PASS = 0
@@ -95,8 +95,8 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    if args.n < 3 or args.count < 1:
-        raise ValueError("gen: need --n >= 3 and --count >= 1")
+    if not 3 <= args.n <= MAX_VERTICES or args.count < 1:
+        raise ValueError(f"gen: need 3 <= --n <= {MAX_VERTICES} and --count >= 1")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for offset in range(args.count):
@@ -177,8 +177,8 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 def cmd_corpus(args) -> int:
     n_lo, n_hi = _parse_range(args.n)
-    if n_lo < 3 or n_hi < n_lo or args.count < 1:
-        raise ValueError("corpus: need 3 <= n_lo <= n_hi and count >= 1")
+    if not 3 <= n_lo <= n_hi <= MAX_VERTICES or args.count < 1:
+        raise ValueError(f"corpus: need 3 <= n_lo <= n_hi <= {MAX_VERTICES} and count >= 1")
     report = run_corpus(args.count, n_lo, n_hi, args.seed)
     sys.stdout.write(canonical_json(report))
     return EXIT_PASS if not report["failures"] else EXIT_FAIL

@@ -20,6 +20,7 @@ from .errors import (
     OracleContradiction,
 )
 from .graph_core import (
+    MAX_VERTICES,
     Pair,
     VisGraph,
     arc_mask,
@@ -80,6 +81,8 @@ def signed_area2(vertices: tuple[Point, ...]) -> int:
 
 def validate_polygon(vertices) -> Polygon:
     """Check all polygon invariants and return the validated value."""
+    if len(vertices) > MAX_VERTICES:
+        raise DegenerateInput(f"more than {MAX_VERTICES} vertices, got {len(vertices)}")
     pts = []
     for v in vertices:
         x, y = v
@@ -222,17 +225,17 @@ def _exit_table(p: Polygon) -> dict[Pair, tuple[int, int, int] | None]:
     }
 
 
-def _is_witness(p: Polygon, i: int, w: int, m: int) -> bool:
-    """Witness rule for the vertex-edge pair (i, e_m)."""
-    n = p.n
-    ends = (m, (m + 1) % n)
+def _is_witness(r: tuple, exits: dict, i: int, w: int, m: int) -> bool:
+    """Witness rule for the vertex-edge pair (i, e_m), read from the
+    polygon's rows(visibility_graph(p)) and _exit_table(p)."""
+    ends = (m, (m + 1) % len(r))
     if i in ends:
         return w in ends
-    if not visibility_graph(p).visible(i, w):
+    if not r[i] >> w & 1:
         return False
     if w in ends:
         return True
-    hit = _exit_table(p)[(w, i)]
+    hit = exits[(w, i)]
     return hit is not None and hit[0] == m
 
 
@@ -244,7 +247,8 @@ def sees_edge(p: Polygon, i: int, m: int) -> tuple[bool, list[int]]:
     continuation ray away from i first exits through it.  Two witnesses
     are required.
     """
-    witnesses = [w for w in range(p.n) if _is_witness(p, i, w, m)]
+    r, exits = rows(visibility_graph(p)), _exit_table(p)
+    witnesses = [w for w in range(p.n) if _is_witness(r, exits, i, w, m)]
     return len(witnesses) >= 2, witnesses
 
 
@@ -382,24 +386,21 @@ def check_blocker_uniqueness(p: Polygon) -> list[str]:
 def check_edge_vertex_visibility(p: Polygon) -> list[str]:
     """Both directions of the incident-edge rule: seeing both edges at a
     vertex implies seeing the vertex; seeing a vertex implies seeing at
-    least one of its edges."""
-    g = visibility_graph(p)
-    ve = ve_graph_geo(p)
-    n = p.n
+    least one of its edges.  With rot the edge row turned by one (bit j:
+    sees edge j - 1), viewer i fails the first at the bits of
+    ve & rot & ~row & ~(1 << i) and the second at row & ~(ve | rot)."""
+    r, ve_rows, n = rows(visibility_graph(p)), ve_graph_geo(p).rows, p.n
     failures = []
     for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            before, after = (j - 1) % n, j
-            if ve.sees(i, before) and ve.sees(i, after) and not g.visible(i, j):
-                failures.append(
-                    f"vertex {i} sees edges {before} and {after} but not vertex {j}"
-                )
-            if g.visible(i, j) and not (ve.sees(i, before) or ve.sees(i, after)):
-                failures.append(
-                    f"vertex {i} sees vertex {j} but neither incident edge"
-                )
+        row, ve = r[i], ve_rows[i]
+        rot = (ve << 1 | ve >> n - 1) & (1 << n) - 1
+        unseen = ve & rot & ~row & ~(1 << i)
+        for j in bits_from(unseen | row & ~(ve | rot), 0):
+            failures.append(
+                f"vertex {i} sees edges {(j - 1) % n} and {j} but not vertex {j}"
+                if unseen >> j & 1
+                else f"vertex {i} sees vertex {j} but neither incident edge"
+            )
     return failures
 
 
@@ -412,36 +413,23 @@ def check_gap_witness_cases(p: Polygon) -> list[str]:
         e_b, that endpoint witnesses (k, e_b), sees e_b, and the near
         endpoint of e_b does not see e_a;
       case B: the mirror image.
+    Case A needs k to see va and not b, case B the reverse, so at most one
+    holds: the check reports each gap where neither does.
     """
-    g = visibility_graph(p)
-    ve = ve_graph_geo(p)
-    n = p.n
+    r, ve, exits, n = rows(visibility_graph(p)), ve_graph_geo(p), _exit_table(p), p.n
+
+    def case(k, u, v, m, o):  # k sees u, not v; u witnesses and sees e_m; v misses e_o
+        return (r[k] >> u & ~r[k] >> v & 1 and _is_witness(r, exits, k, u, m)
+                and ve.rows[u] >> m & ~ve.rows[v] >> o & 1)
+
     failures = []
     for k in range(n):
         for a, b in seen_edge_gaps(ve, k):
             if (a - b) % n == 1:
                 continue  # bounding edges share a vertex
-            va = (a + 1) % n  # far endpoint of e_a
-            vb = b  # near endpoint of e_b
-            case_a = (
-                g.visible(k, va)
-                and not g.visible(k, vb)
-                and _is_witness(p, k, va, b)
-                and ve.sees(va, b)
-                and not ve.sees(vb, a)
-            )
-            case_b = (
-                g.visible(k, vb)
-                and not g.visible(k, va)
-                and _is_witness(p, k, vb, a)
-                and ve.sees(vb, a)
-                and not ve.sees(va, b)
-            )
-            if case_a == case_b:
-                which = "both" if case_a else "neither"
-                failures.append(
-                    f"vertex {k}, gap between edges {a} and {b}: {which} case holds"
-                )
+            va = (a + 1) % n  # far endpoint of e_a; b is the near endpoint of e_b
+            if not (case(k, va, b, b, a) or case(k, b, va, a, b)):
+                failures.append(f"vertex {k}, gap between edges {a} and {b}: neither case holds")
     return failures
 
 

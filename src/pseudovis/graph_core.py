@@ -17,6 +17,8 @@ from .errors import IndexOutOfRange, MalformedInput, MissingCycleEdge, SelfLoop
 
 Pair = tuple[int, int]
 
+MAX_VERTICES = 1024  # largest n accepted: candidate_table's n * n lists hold ~2 M slots
+
 
 def derived_table(build: Callable) -> Callable:
     """Memoize a one-argument table builder in its argument's ``tables``
@@ -88,8 +90,8 @@ def validate_graph(n: int, pairs: Iterable[Iterable[int]]) -> VisGraph:
     The relation is the symmetric closure of the input; duplicates are
     ignored.  Every cycle edge {i, i+1 mod n} must be listed explicitly.
     """
-    if n < 3:
-        raise IndexOutOfRange(f"vertex count must be at least 3, got {n}")
+    if not 3 <= n <= MAX_VERTICES:
+        raise IndexOutOfRange(f"vertex count must be in [3, {MAX_VERTICES}], got {n}")
     edges = set()
     for pair in pairs:
         i, j = pair

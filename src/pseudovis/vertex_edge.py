@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .blockers import Assignment, candidate_table
+from .blockers import Assignment, candidate_table, first_seen
 from .errors import InvalidAssignment, VertexOutsideInterval
 from .graph_core import (
     VisGraph,
@@ -76,9 +76,12 @@ def is_articulation(g: VisGraph, start: int, end: int, v: int) -> bool:
 
 def seen_edge_gaps(ve: VEGraph, k: int) -> list[tuple[int, int]]:
     """Maximal runs of unseen edges in row k, each reported as the pair
-    (seen edge before the run, seen edge after the run) in cyclic order."""
-    seen = bits_from(ve.rows[k], 0)
-    return [(a, b) for a, b in zip(seen, seen[1:] + seen[:1]) if (b - a) % ve.n >= 2]
+    (seen edge before the run, seen edge after the run) in cyclic order:
+    each seen edge a whose successor is unseen, and the next seen edge b
+    after it, which is a itself only when a is the one seen edge."""
+    n, row = ve.n, ve.rows[k]
+    starts = bits_from(row & ~(row >> 1 | row << n - 1), 0)
+    return [(a, b) for a in starts if (b := first_seen(n, row, a, 1)) != a]
 
 
 def check_ve_characterization(
@@ -95,14 +98,15 @@ def check_ve_characterization(
     Both or neither holding is a failure.  candidates is unused: every
     reader takes the graph's own candidate_table.
     """
-    n = g.n
+    n, ve_rows = g.n, ve.rows
     failures = []
     for k in range(n):
         for i, j in seen_edge_gaps(ve, k):
             if (i - j) % n == 1:
                 continue  # bounding edges share a vertex
-            near = ve.sees((i + 1) % n, j) and is_articulation(g, k, j, (i + 1) % n)
-            far = ve.sees(j, i) and is_articulation(g, (i + 1) % n, k, j)
+            v = (i + 1) % n
+            near = ve_rows[v] >> j & 1 and is_articulation(g, k, j, v)
+            far = ve_rows[j] >> i & 1 and is_articulation(g, v, k, j)
             if near == far:
                 failures.append(CharacterizationFailure(k, i, j))
     return failures

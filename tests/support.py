@@ -33,7 +33,7 @@ from pseudovis.conditions import (
     check_conditions,
     first_violation,
 )
-from pseudovis.geometry import orient
+from pseudovis.geometry import _exit_table, orient, ve_graph_geo, visibility_graph
 from pseudovis.recognizer import (
     EmptyCandidateSet,
     ExhaustedSearch,
@@ -41,6 +41,7 @@ from pseudovis.recognizer import (
     verify,
 )
 from pseudovis.graph_core import invisible_pairs, strictly_inside
+from pseudovis.vertex_edge import CharacterizationFailure, is_articulation
 
 
 def cycle_graph(n: int, chords=()) -> VisGraph:
@@ -552,3 +553,106 @@ def reflect_graph(g: VisGraph) -> VisGraph:
     for i, j in g.edges:
         edges.append([reflect_index(n, i), reflect_index(n, j)])
     return validate_graph(n, edges)
+
+
+def naive_first_seen(n: int, row: int, target: int, step: int) -> int:
+    """blockers.first_seen as a walk from the target, one step at a time,
+    to the first set bit; some bit other than the target's must be set."""
+    k = (target + step) % n
+    while not row >> k & 1:
+        k = (k + step) % n
+    return k
+
+
+def naive_seen_edge_gaps(ve: VEGraph, k: int) -> list[tuple[int, int]]:
+    """vertex_edge.seen_edge_gaps from the list of seen edges: each seen
+    edge paired with the next one, the last with the first, kept when at
+    least one unseen edge lies between them."""
+    seen = [m for m in range(ve.n) if ve.sees(k, m)]
+    return [(a, b) for a, b in zip(seen, seen[1:] + seen[:1]) if (b - a) % ve.n >= 2]
+
+
+def naive_is_witness(p: Polygon, i: int, w: int, m: int) -> bool:
+    """geometry._is_witness read pair by pair from the polygon's tables."""
+    n = p.n
+    ends = (m, (m + 1) % n)
+    if i in ends:
+        return w in ends
+    if not visibility_graph(p).visible(i, w):
+        return False
+    if w in ends:
+        return True
+    hit = _exit_table(p)[(w, i)]
+    return hit is not None and hit[0] == m
+
+
+def naive_edge_vertex_visibility(p: Polygon) -> list[str]:
+    """geometry.check_edge_vertex_visibility, vertex pair by vertex pair."""
+    g = visibility_graph(p)
+    ve = ve_graph_geo(p)
+    n = p.n
+    failures = []
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            before, after = (j - 1) % n, j
+            if ve.sees(i, before) and ve.sees(i, after) and not g.visible(i, j):
+                failures.append(
+                    f"vertex {i} sees edges {before} and {after} but not vertex {j}"
+                )
+            if g.visible(i, j) and not (ve.sees(i, before) or ve.sees(i, after)):
+                failures.append(
+                    f"vertex {i} sees vertex {j} but neither incident edge"
+                )
+    return failures
+
+
+def naive_gap_witness_cases(p: Polygon) -> list[str]:
+    """geometry.check_gap_witness_cases, both cases spelled out gap by
+    gap with pair-by-pair lookups."""
+    g = visibility_graph(p)
+    ve = ve_graph_geo(p)
+    n = p.n
+    failures = []
+    for k in range(n):
+        for a, b in naive_seen_edge_gaps(ve, k):
+            if (a - b) % n == 1:
+                continue  # bounding edges share a vertex
+            va = (a + 1) % n  # far endpoint of e_a
+            vb = b  # near endpoint of e_b
+            case_a = (
+                g.visible(k, va)
+                and not g.visible(k, vb)
+                and naive_is_witness(p, k, va, b)
+                and ve.sees(va, b)
+                and not ve.sees(vb, a)
+            )
+            case_b = (
+                g.visible(k, vb)
+                and not g.visible(k, va)
+                and naive_is_witness(p, k, vb, a)
+                and ve.sees(vb, a)
+                and not ve.sees(va, b)
+            )
+            if case_a == case_b:
+                which = "both" if case_a else "neither"
+                failures.append(
+                    f"vertex {k}, gap between edges {a} and {b}: {which} case holds"
+                )
+    return failures
+
+
+def naive_ve_characterization(ve: VEGraph, g: VisGraph) -> list[CharacterizationFailure]:
+    """vertex_edge.check_ve_characterization, gap by gap with sees()."""
+    n = g.n
+    failures = []
+    for k in range(n):
+        for i, j in naive_seen_edge_gaps(ve, k):
+            if (i - j) % n == 1:
+                continue  # bounding edges share a vertex
+            near = ve.sees((i + 1) % n, j) and is_articulation(g, k, j, (i + 1) % n)
+            far = ve.sees(j, i) and is_articulation(g, (i + 1) % n, k, j)
+            if near == far:
+                failures.append(CharacterizationFailure(k, i, j))
+    return failures

@@ -9,7 +9,7 @@ from pseudovis import (
     invisible_pairs,
     visibility_graph,
 )
-from pseudovis.blockers import entry_arcs
+from pseudovis.blockers import entry_arcs, first_seen
 from pseudovis.graph_core import arc_mask
 from support import (
     arc_walk,
@@ -18,6 +18,7 @@ from support import (
     interval_vertices,
     naive_candidates,
     naive_entry_arcs,
+    naive_first_seen,
 )
 
 
@@ -122,3 +123,15 @@ def test_assignment_json_round_trip():
     text = assignment_to_json(a)
     assert assignment_from_json(text) == a
     assert text.index('"from": 1') < text.index('"from": 3')
+
+
+def test_first_seen_matches_walk_on_every_row():
+    # every row, target and step for n <= 10 in which some bit other than
+    # the target's is set (the walk's precondition), one-bit rows included
+    for n in range(2, 11):
+        for row in range(1 << n):
+            for target in range(n):
+                if row & ~(1 << target):
+                    for step in (-1, 1):
+                        assert first_seen(n, row, target, step) == \
+                            naive_first_seen(n, row, target, step), (n, bin(row), target, step)

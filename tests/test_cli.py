@@ -10,6 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pseudovis import (
+    DegenerateInput,
+    IndexOutOfRange,
     assignment_to_json,
     geometric_blockers,
     graph_to_json,
@@ -23,7 +25,7 @@ from pseudovis.blockers import candidate_table
 from pseudovis.conditions import nc4_partners
 from pseudovis.cli import check_polygon, main
 from pseudovis.geometry import _designated_blockers, _exit_table
-from pseudovis.graph_core import rows
+from pseudovis.graph_core import MAX_VERTICES, rows
 from conftest import DENT5_VERTICES
 from support import complete_graph, cycle_graph
 
@@ -396,6 +398,36 @@ def test_gen_rejects_nonpositive_count(tmp_path, capsys, count):
     assert code == 2
     assert captured.out == "" and "--count >= 1" in captured.err
     assert_one_error_line(captured.err)
+    assert not (tmp_path / "out").exists()
+
+
+def test_vertex_count_above_the_bound_is_an_input_error(tmp_path, capsys):
+    # n = MAX_VERTICES + 1 is refused before any n-by-n table is built.
+    # The validators come first, so a missing bound fails here before a
+    # command could allocate; the polygon's points are all collinear, so
+    # only a bound checked before the collinearity scan names the count.
+    n = MAX_VERTICES + 1
+    cycle = [[i, (i + 1) % n] for i in range(n)]
+    points = [[i, 0] for i in range(n)]
+    with pytest.raises(IndexOutOfRange, match=f"got {n}"):
+        validate_graph(n, cycle)
+    with pytest.raises(DegenerateInput, match=f"more than {MAX_VERTICES} vertices"):
+        validate_polygon(points)
+    assert validate_graph(MAX_VERTICES, cycle[:-2] + [[n - 2, 0]]).n == MAX_VERTICES
+    graph = write(tmp_path, "big.json", json.dumps({"n": n, "edges": cycle}))
+    polygon = write(tmp_path, "big-poly.json", json.dumps({"vertices": points}))
+    assignment = write(tmp_path, "a.json", json.dumps({"blockers": []}))
+    for argv in (
+        ["recognize", graph],
+        ["check", graph, assignment],
+        *(["oracle", what, polygon] for what in ("visgraph", "blockers", "ve", "lemmas")),
+        ["gen", "--n", str(n), "--out", str(tmp_path / "out")],
+        ["corpus", "--count", "1", "--n", f"5..{n}"],
+    ):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "", argv
+        assert_one_error_line(captured.err)
     assert not (tmp_path / "out").exists()
 
 

@@ -10,11 +10,15 @@ from pseudovis import (
     GenerationBudgetExceeded,
     NotInvisible,
     OracleContradiction,
+    Polygon,
+    VEGraph,
+    VisGraph,
     assignment_to_json,
     build_ve,
     check_blocker_uniqueness,
     check_edge_vertex_visibility,
     check_gap_witness_cases,
+    check_ve_characterization,
     designated_blocker_geo,
     find_assignment,
     geometric_blockers,
@@ -33,7 +37,14 @@ from pseudovis import (
 )
 from pseudovis import geometry
 from pseudovis.geometry import _exit_table
-from support import naive_first_exit, naive_sees_vertex, reflect_polygon
+from support import (
+    naive_edge_vertex_visibility,
+    naive_first_exit,
+    naive_gap_witness_cases,
+    naive_sees_vertex,
+    naive_ve_characterization,
+    reflect_polygon,
+)
 
 
 def test_sees_vertex_convex(unit_square):
@@ -253,6 +264,63 @@ def test_property_suites_on_fixtures(unit_square, dent5_poly, blocked_quad):
         assert check_edge_vertex_visibility(p) == []
         assert check_gap_witness_cases(p) == []
         assert check_blocker_uniqueness(p) == []
+
+
+def _lemma_outputs(p):
+    ve, g = ve_graph_geo(p), visibility_graph(p)
+    return (check_edge_vertex_visibility(p), check_gap_witness_cases(p),
+            check_ve_characterization(ve, g))
+
+
+def _naive_lemma_outputs(p):
+    ve, g = ve_graph_geo(p), visibility_graph(p)
+    return (naive_edge_vertex_visibility(p), naive_gap_witness_cases(p),
+            naive_ve_characterization(ve, g))
+
+
+def _planted(p, table, value):
+    """A copy of p sharing its cached tables but with one entry replaced;
+    a planted visibility graph gets an exit table built from it."""
+    q = Polygon(p.vertices)
+    q.tables.update(p.tables)
+    q.tables[table] = value
+    if table is visibility_graph:
+        del q.tables[_exit_table]
+    return q
+
+
+# "both case holds" is not among them: case A needs the viewer to see va
+# and not b, case B the reverse, so no table makes both hold
+LEMMA_MESSAGES = ("but not vertex", "but neither incident edge", "neither case holds")
+
+
+def test_lemma_checks_match_restatements():
+    # on polygons every lemma holds, so both sides report nothing
+    for n in range(5, 41):
+        p = random_simple_polygon(n, 4000 + n)
+        assert _lemma_outputs(p) == _naive_lemma_outputs(p) == ([], [], [])
+    # one row bit flipped in a cached table makes every failure kind fire;
+    # messages and their order must match the pair-by-pair restatements.
+    # Each vertex keeps its two incident edges, as every relation does.
+    fired = Counter()
+    for idx in range(16):
+        p = random_simple_polygon(5 + idx % 8, 4100 + idx)
+        n, ve, g = p.n, ve_graph_geo(p), visibility_graph(p)
+        _exit_table(p)  # cached, so that every copy shares it
+        planted = [
+            _planted(p, ve_graph_geo, VEGraph(n, tuple(
+                row ^ 1 << m if v == i else row for v, row in enumerate(ve.rows))))
+            for i in range(n) for m in range(n) if m not in (i, (i - 1) % n)
+        ] + [
+            _planted(p, visibility_graph, VisGraph(n, g.edges ^ {(i, j)}))
+            for i in range(n) for j in range(i + 2, n - (i == 0))
+        ]
+        for q in planted:
+            got = _lemma_outputs(q)
+            assert got == _naive_lemma_outputs(q), q.vertices
+            fired.update(kind for msg in got[0] + got[1] for kind in LEMMA_MESSAGES if kind in msg)
+            fired["CharacterizationFailure"] += bool(got[2])
+    assert set(fired) == {*LEMMA_MESSAGES, "CharacterizationFailure"}, fired
 
 
 def test_gap_cases_fire_on_dent5(dent5_poly):

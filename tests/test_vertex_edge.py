@@ -19,7 +19,12 @@ from pseudovis import (
     ve_graph_geo,
     visibility_graph,
 )
-from support import articulation_by_incidence, cycle_graph, naive_build_ve
+from support import (
+    articulation_by_incidence,
+    cycle_graph,
+    naive_build_ve,
+    naive_seen_edge_gaps,
+)
 
 
 def test_k5_all_true(k5):
@@ -140,6 +145,17 @@ def test_gap_enumeration(dent5_graph, dent5_poly):
     assert seen_edge_gaps(ve, 0) == []
     # the gap from the last seen edge wraps around to the first
     assert seen_edge_gaps(VEGraph(5, (0b01010,)), 0) == [(1, 3), (3, 1)]
+
+
+def test_seen_edge_gaps_matches_restatement_on_every_row():
+    for n in range(1, 11):
+        for row in range(1 << n):
+            ve = VEGraph(n, (row,))
+            assert seen_edge_gaps(ve, 0) == naive_seen_edge_gaps(ve, 0), (n, bin(row))
+    # zero or one seen edge bounds no gap
+    for n in range(3, 11):
+        for row in (0, *(1 << m for m in range(n))):
+            assert seen_edge_gaps(VEGraph(n, (row,)), 0) == []
 
 
 def test_characterization_passes_on_dent5(dent5_graph, dent5_poly):
