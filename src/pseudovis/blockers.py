@@ -21,7 +21,6 @@ from .graph_core import (
     json_field,
     parse_json,
     rows,
-    strictly_inside,
 )
 
 Assignment = dict[Pair, int]
@@ -108,11 +107,12 @@ class CandidateTable:
 def candidate_table(g: VisGraph) -> CandidateTable:
     """The graph's candidate table, compiled over entry codes.
 
-    One sweep per viewer i: each run of targets between consecutive
-    vertices u, v that i sees has cw walk end u and ccw walk end v, which
-    qualify unless a visible pair joins the near and far arcs of the
-    entry (entry_arcs).  The near arc is fixed per run and side and the
-    far arc grows by one target at a time, so one pass from each end
+    One sweep per viewer i over its hidden runs, peeled off its hidden
+    mask turned so that bit p is vertex i + 1 + p (i is never hidden, so
+    no run wraps).  A run between seen vertices u and v has cw candidate
+    u and ccw candidate v unless a visible pair joins the entry's near
+    arc, i .. u - 1 or v + 1 .. i (exactly entry_arcs' near arcs), to its
+    far arc, which grows by one target at a time: one pass from each end
     ORs up the far arc's neighbours and decides the whole run.
 
     A pair whose candidate set is empty makes recognition fail
@@ -121,19 +121,24 @@ def candidate_table(g: VisGraph) -> CandidateTable:
     """
     n, r = g.n, rows(g)
     cw, ccw, cw_mask, ccw_mask = [None] * (n * n), [None] * (n * n), [0] * n, [0] * n
-    inv = 0
+    inv, full = 0, (1 << n) - 1
     for i in range(n):
-        base = i * n
-        inv |= ((1 << n) - 1 & ~r[i] & ~(1 << i)) << base
-        seen = bits_from(r[i], 0)
-        for u, v in zip(seen, seen[1:] + seen[:1]):
-            if (v - u) % n < 2 or strictly_inside(n, u, v, i):
-                continue  # no target between u and v, or i's own gap
-            run = bits_from(arc_mask(n, (u + 1) % n, (v - 1) % n), (u + 1) % n)
-            for k, side, masks, walk in ((u, cw, cw_mask, run), (v, ccw, ccw_mask, run[::-1])):
-                near = entry_arcs(n, (i, run[0]), k)[1]
+        base, hid = i * n, full & ~r[i] & ~(1 << i)
+        inv |= hid << base
+        rot = (hid >> i + 1 | hid << n - i - 1) & full
+        while rot:
+            low = rot & -rot
+            run = rot & ~(rot + low)
+            rot ^= run
+            lo, hi = low.bit_length() + i, run.bit_length() + i  # the run's ends, unreduced
+            u, v = (lo - 1) % n, (hi + 1) % n
+            for k, side, masks, walk, near in (
+                (u, cw, cw_mask, range(lo, hi + 1), arc_mask(n, i, (u - 1) % n)),
+                (v, ccw, ccw_mask, range(hi, lo - 1, -1), arc_mask(n, (v + 1) % n, i)),
+            ):
                 far_sees = got = 0
                 for j in walk:
+                    j %= n
                     far_sees |= r[j]
                     if far_sees & near:
                         break

@@ -40,7 +40,7 @@ def cmd_recognize(args) -> int:
     verdict = recognizer.find_assignment(g, node_budget=args.budget)
     extra = None
     if verdict.accepted:
-        ve = build_ve(g, verdict.assignment or {}, check=False)
+        ve = build_ve(g, verdict.assignment or {})
         failures = check_ve_characterization(ve, g)
         extra = {
             "ve_check": {
@@ -127,14 +127,14 @@ def check_polygon(p: geometry.Polygon) -> dict[str, bool]:
     a_geo = geometry.geometric_blockers(p)
     results["nc_clean"] = not check_conditions(g, a_geo)
     ve_geo = geometry.ve_graph_geo(p)
-    results["ve_match"] = build_ve(g, a_geo, check=False) == ve_geo
+    results["ve_match"] = build_ve(g, a_geo) == ve_geo
     results["ve_characterization"] = not check_ve_characterization(ve_geo, g)
     results["edge_vertex"] = not geometry.check_edge_vertex_visibility(p)
     results["gap_cases"] = not geometry.check_gap_witness_cases(p)
     verdict = recognizer.find_assignment(g)
     recognized = verdict.accepted
     if recognized:
-        ve_found = build_ve(g, verdict.assignment or {}, check=False)
+        ve_found = build_ve(g, verdict.assignment or {})
         recognized = not check_ve_characterization(ve_found, g)
     results["recognized"] = recognized
     return results

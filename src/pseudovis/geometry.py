@@ -472,8 +472,8 @@ def random_simple_polygon(n: int, seed: int) -> Polygon:
     carries on in a grid of twice the extent, [0, 8n]^2, and so on for
     GRID_ROUNDS grids; GenerationBudgetExceeded when the last is spent.
     """
-    if n < 3:
-        raise ValueError(f"need n >= 3, got {n}")
+    if not 3 <= n <= MAX_VERTICES:
+        raise ValueError(f"need 3 <= n <= {MAX_VERTICES}, got {n}")
     rng = random.Random(f"{n}:{seed}")
     width = 4 * n + 1
     for _ in range(GRID_ROUNDS):

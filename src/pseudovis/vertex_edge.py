@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .blockers import Assignment, candidate_table, first_seen
-from .errors import InvalidAssignment, VertexOutsideInterval
+from .errors import InvalidAssignment, MalformedInput, VertexOutsideInterval
 from .graph_core import (
     VisGraph,
     arc_mask,
@@ -95,10 +95,14 @@ def check_ve_characterization(
           from k to j, or
       (2) vertex j sees e_i and is an articulation vertex of the walk
           from i+1 to k.
-    Both or neither holding is a failure.  candidates is unused: every
-    reader takes the graph's own candidate_table.
+    Both or neither holding is a failure.  A row in which its vertex
+    misses an incident edge raises MalformedInput.  candidates is unused:
+    every reader takes the graph's own candidate_table.
     """
     n, ve_rows = g.n, ve.rows
+    for k in range(n):
+        if missing := (1 << k | 1 << (k - 1) % n) & ~ve_rows[k]:
+            raise MalformedInput(f"vertex {k} misses incident edge {missing.bit_length() - 1}")
     failures = []
     for k in range(n):
         for i, j in seen_edge_gaps(ve, k):

@@ -37,6 +37,7 @@ from pseudovis import (
 )
 from pseudovis import geometry
 from pseudovis.geometry import _exit_table
+from pseudovis.graph_core import MAX_VERTICES
 from support import (
     naive_edge_vertex_visibility,
     naive_first_exit,
@@ -235,6 +236,14 @@ def test_generator_widens_its_grid():
     assert max(max(v) for v in p.vertices) > 4 * 64
     digest = hashlib.sha256(polygon_to_json(p).encode()).hexdigest()
     assert digest == "346bc9abd0354920f064e674427fa86cca095bc4c87f7917688bab1bd258b3f6"
+
+
+def test_generator_bounds_n_before_sampling():
+    # 2,000 points would take minutes to sample and uncross; the bound is
+    # the one validate_polygon and validate_graph enforce.
+    for n in (2, MAX_VERTICES + 1, 2000):
+        with pytest.raises(ValueError, match=f"need 3 <= n <= {MAX_VERTICES}, got {n}$"):
+            random_simple_polygon(n, 1)
 
 
 def test_generator_budget_bounds_its_grids(monkeypatch):

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from pseudovis import (
     InvalidAssignment,
+    MalformedInput,
     VEGraph,
     VertexOutsideInterval,
     all_candidates,
@@ -15,6 +16,7 @@ from pseudovis import (
     find_assignment,
     geometric_blockers,
     is_articulation,
+    random_simple_polygon,
     seen_edge_gaps,
     ve_graph_geo,
     visibility_graph,
@@ -206,3 +208,19 @@ def test_characterization_on_accepted_assignments(quad4, sample_polygons):
         v = find_assignment(g)
         assert v.accepted
         assert check_ve_characterization(build_ve(g, v.assignment), g) == []
+
+
+def test_row_missing_an_incident_edge_is_malformed_input():
+    # Without its own incident edge a row's gap would hold the viewer,
+    # which is_articulation refuses (VertexOutsideInterval); the rows are
+    # checked before any gap.  Every row of 29 polygons, either edge.
+    for seed in range(1, 30):
+        p = random_simple_polygon(8, seed)
+        g, ve = visibility_graph(p), ve_graph_geo(p)
+        assert check_ve_characterization(ve, g) == []
+        for k in range(8):
+            for m in ((k - 1) % 8, k):
+                rows = list(ve.rows)
+                rows[k] &= ~(1 << m)
+                with pytest.raises(MalformedInput, match=f"^vertex {k} misses incident edge {m}$"):
+                    check_ve_characterization(VEGraph(8, tuple(rows)), g)
