@@ -532,6 +532,34 @@ def naive_first_exit(p: Polygon, k: int, away: int) -> tuple[int, Fraction] | No
     return m, t
 
 
+def naive_crossing_edges(pts: list) -> tuple[int, int] | None:
+    """First pair i < j of non-adjacent tour edges that cross properly:
+    each edge's ends lie strictly on opposite sides of the other's line,
+    read from four orientation signs, all nonzero."""
+    n = len(pts)
+    for i in range(n):
+        a, b = pts[i], pts[(i + 1) % n]
+        for j in range(i + 2, n):
+            if i == 0 and j == n - 1:
+                continue  # edges 0 and n - 1 share pts[0]
+            c, d = pts[j], pts[(j + 1) % n]
+            o1, o2 = orient(a, b, c), orient(a, b, d)
+            o3, o4 = orient(c, d, a), orient(c, d, b)
+            if ((o1 > 0) != (o2 > 0) and o1 != 0 and o2 != 0
+                    and (o3 > 0) != (o4 > 0) and o3 != 0 and o4 != 0):
+                return i, j
+    return None
+
+
+def naive_collinear_triple(pts: list) -> tuple[int, int, int] | None:
+    """First index triple i < j < k, in lexicographic order, whose points
+    have orientation zero."""
+    for i, j, k in itertools.combinations(range(len(pts)), 3):
+        if orient(pts[i], pts[j], pts[k]) == 0:
+            return i, j, k
+    return None
+
+
 def reflect_polygon(p: Polygon) -> Polygon:
     """Mirror a polygon (negate x) and relabel so order stays counterclockwise.
 

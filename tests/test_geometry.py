@@ -1,4 +1,5 @@
 import hashlib
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -39,6 +40,8 @@ from pseudovis import geometry
 from pseudovis.geometry import _exit_table
 from pseudovis.graph_core import MAX_VERTICES
 from support import (
+    naive_collinear_triple,
+    naive_crossing_edges,
     naive_edge_vertex_visibility,
     naive_first_exit,
     naive_gap_witness_cases,
@@ -46,6 +49,33 @@ from support import (
     naive_ve_characterization,
     reflect_polygon,
 )
+
+
+def test_polygon_predicates_match_restatements():
+    """The first crossing edge pair and the first collinear triple are
+    those of the plain restatements, on small point lists with a planted
+    crossing, a repeated point (so edges meet at a shared endpoint) or a
+    planted collinear triple; every tour's first and last edges share
+    pts[0] as well."""
+    rng = random.Random(22)
+    outcomes = Counter()
+    for trial in range(800):
+        pts = [(rng.randint(0, 9), rng.randint(0, 9)) for _ in range(rng.randint(3, 8))]
+        at, way = rng.randint(0, len(pts)), trial % 4
+        if way == 1:  # segments c - d .. c + d and c - e .. c + e cross at c
+            c, d, e = (rng.randint(0, 9), rng.randint(0, 9)), (0, 0), (0, 0)
+            while d[0] * e[1] == d[1] * e[0]:
+                d, e = [(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(2)]
+            pts[at:at] = [(c[0] + s * v[0], c[1] + s * v[1]) for v in (d, e) for s in (-1, 1)]
+        elif way == 2:
+            pts.insert(at, pts[rng.randrange(len(pts))])
+        elif way == 3:  # the reflection of p0 in p1 lies on their line
+            (x0, y0), (x1, y1) = rng.sample(pts, 2)
+            pts.insert(at, (2 * x1 - x0, 2 * y1 - y0))
+        crossing, triple = geometry._crossing_edges(pts), geometry._collinear_triple(pts)
+        assert (crossing, triple) == (naive_crossing_edges(pts), naive_collinear_triple(pts)), pts
+        outcomes.update([("crossing", crossing is not None), ("collinear", triple is not None)])
+    assert len(outcomes) == 4, outcomes
 
 
 def test_sees_vertex_convex(unit_square):
@@ -351,6 +381,19 @@ def test_reflection_preserves_recognition(dent5_poly, blocked_quad):
 
 def test_polygon_json_round_trip(dent5_poly):
     assert polygon_from_json(polygon_to_json(dent5_poly)) == dent5_poly
+
+
+# sha256 of polygon_to_json over random_simple_polygon(n, seed) for n 3..40,
+# seeds 1..3, then (64, 1), recorded before the polygon predicates were
+# inlined into their loops.
+GENERATION_GOLDEN_DIGEST = "afddc99dbef0511944d6f52269de73cc0d92308e234cd61a467414467613f219"
+
+
+def test_golden_generated_polygons():
+    digest = hashlib.sha256()
+    for n, seed in [(n, s) for n in range(3, 41) for s in (1, 2, 3)] + [(64, 1)]:
+        digest.update(polygon_to_json(random_simple_polygon(n, seed)).encode())
+    assert digest.hexdigest() == GENERATION_GOLDEN_DIGEST
 
 
 # sha256 of the oracle and table outputs below over 160 seeded polygons,
