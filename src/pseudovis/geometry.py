@@ -59,16 +59,6 @@ def orient(a: Point, b: Point, c: Point) -> int:
     return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
 
 
-def _segments_cross(a: Point, b: Point, c: Point, d: Point) -> bool:
-    """Proper crossing of open segments ab and cd (no shared endpoints,
-    general position assumed)."""
-    o1 = orient(a, b, c)
-    o2 = orient(a, b, d)
-    o3 = orient(c, d, a)
-    o4 = orient(c, d, b)
-    return (o1 > 0) != (o2 > 0) and o1 != 0 and o2 != 0 and (o3 > 0) != (o4 > 0) and o3 != 0 and o4 != 0
-
-
 def signed_area2(vertices: tuple[Point, ...]) -> int:
     total = 0
     n = len(vertices)
@@ -106,15 +96,14 @@ def validate_polygon(vertices) -> Polygon:
 
 
 def _crossing_edges(pts: list[Point]) -> tuple[int, int] | None:
-    """First pair i < j of non-adjacent tour edges that cross, if any
-    (edge i joins pts[i] and pts[i+1])."""
+    """First pair i < j of non-adjacent tour edges (edge i joins pts[i] and
+    pts[i+1]) that cross: both orientation products are negative."""
     n = len(pts)
     for i in range(n):
         a, b = pts[i], pts[(i + 1) % n]
-        for j in range(i + 2, n):
-            if i == 0 and j == n - 1:
-                continue  # adjacent edges share only their vertex
-            if _segments_cross(a, b, pts[j], pts[(j + 1) % n]):
+        for j in range(i + 2, n - (i == 0)):  # edges 0 and n - 1 share pts[0]
+            c, d = pts[j], pts[(j + 1) % n]
+            if orient(a, b, c) * orient(a, b, d) < 0 and orient(c, d, a) * orient(c, d, b) < 0:
                 return i, j
     return None
 
@@ -434,12 +423,16 @@ def check_gap_witness_cases(p: Polygon) -> list[str]:
 
 
 def _collinear_triple(pts: list[Point]) -> tuple[int, int, int] | None:
-    """First index triple i < j < k of collinear points, if any."""
+    """First index triple i < j < k of collinear points, if any: each test is
+    orient(pts[i], pts[j], pts[k]) == 0, with dx, dy taken once per pair."""
     n = len(pts)
     for i in range(n):
+        xi, yi = pts[i]
         for j in range(i + 1, n):
+            dx, dy = pts[j][0] - xi, pts[j][1] - yi
             for k in range(j + 1, n):
-                if orient(pts[i], pts[j], pts[k]) == 0:
+                xk, yk = pts[k]
+                if dx * (yk - yi) == dy * (xk - xi):
                     return i, j, k
     return None
 
@@ -450,17 +443,13 @@ def _uncross_tour(pts: list[Point]) -> bool:
     Each swap strictly shortens the tour, so this terminates; the cap of
     50 n^2 swaps is a defensive bound only.  Returns False if it is hit.
     """
-    swap_cap = 50 * len(pts) ** 2
-    swaps = 0
-    while True:
+    for _ in range(50 * len(pts) ** 2 + 1):
         crossing = _crossing_edges(pts)
         if crossing is None:
             return True
         i, j = crossing
         pts[i + 1 : j + 1] = reversed(pts[i + 1 : j + 1])
-        swaps += 1
-        if swaps > swap_cap:
-            return False
+    return False
 
 
 def random_simple_polygon(n: int, seed: int) -> Polygon:
