@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import geometry, recognizer
@@ -42,19 +43,7 @@ def cmd_recognize(args) -> int:
     if verdict.accepted:
         ve = build_ve(g, verdict.assignment or {})
         failures = check_ve_characterization(ve, g)
-        extra = {
-            "ve_check": {
-                "ok": not failures,
-                "failures": [
-                    {
-                        "vertex": f.vertex,
-                        "edge_before": f.edge_before,
-                        "edge_after": f.edge_after,
-                    }
-                    for f in failures
-                ],
-            }
-        }
+        extra = {"ve_check": {"ok": not failures, "failures": [asdict(f) for f in failures]}}
     sys.stdout.write(recognizer.verdict_to_json(verdict, extra))
     return EXIT_PASS if verdict.accepted else EXIT_FAIL
 

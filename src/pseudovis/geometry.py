@@ -76,7 +76,7 @@ def validate_polygon(vertices) -> Polygon:
     pts = []
     for v in vertices:
         x, y = v
-        if not isinstance(x, int) or not isinstance(y, int):
+        if type(x) is not int or type(y) is not int:
             raise DegenerateInput(f"non-integer coordinate {v!r}")
         pts.append((x, y))
     n = len(pts)

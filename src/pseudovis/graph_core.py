@@ -89,12 +89,17 @@ def validate_graph(n: int, pairs: Iterable[Iterable[int]]) -> VisGraph:
 
     The relation is the symmetric closure of the input; duplicates are
     ignored.  Every cycle edge {i, i+1 mod n} must be listed explicitly.
+    n and the indices must be ints, not values that only compare equal.
     """
+    if type(n) is not int:
+        raise MalformedInput(f"vertex count must be an integer, got {n!r:.60}")
     if not 3 <= n <= MAX_VERTICES:
         raise IndexOutOfRange(f"vertex count must be in [3, {MAX_VERTICES}], got {n}")
     edges = set()
     for pair in pairs:
         i, j = pair
+        if type(i) is not int or type(j) is not int:
+            raise MalformedInput(f"pair must be 2 integers, got {pair!r:.60}")
         if not (0 <= i < n and 0 <= j < n):
             raise IndexOutOfRange(f"pair ({i},{j}) outside [0,{n})")
         if i == j:

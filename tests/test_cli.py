@@ -20,12 +20,13 @@ from pseudovis import (
     validate_polygon,
     visibility_graph,
 )
-from pseudovis import all_candidates, recognizer, separable_pairs, validate_graph
+from pseudovis import all_candidates, cli, geometry, recognizer, separable_pairs, validate_graph
 from pseudovis.blockers import candidate_table
 from pseudovis.conditions import nc4_partners
-from pseudovis.cli import check_polygon, main
+from pseudovis.cli import CORPUS_CHECKS, check_polygon, main
 from pseudovis.geometry import _designated_blockers, _exit_table
 from pseudovis.graph_core import MAX_VERTICES, rows
+from pseudovis.vertex_edge import CharacterizationFailure
 from conftest import DENT5_VERTICES
 from support import complete_graph, cycle_graph
 
@@ -58,6 +59,36 @@ def test_recognize_accepts(tmp_path, capsys):
     assert code == 0
     assert obj["verdict"] == "accepted"
     assert obj["ve_check"]["ok"] is True
+
+
+def test_recognize_reports_characterization_failures(monkeypatch, tmp_path, capsys):
+    failures = [CharacterizationFailure(1, 0, 2), CharacterizationFailure(3, 2, 0)]
+    monkeypatch.setattr(cli, "check_ve_characterization", lambda ve, g: failures)
+    path = write(tmp_path, "k4.json", graph_to_json(complete_graph(4)))
+    code, out = run(capsys, ["recognize", path])
+    assert code == 0
+    assert out == """{
+  "assignment": {
+    "blockers": []
+  },
+  "ve_check": {
+    "failures": [
+      {
+        "edge_after": 2,
+        "edge_before": 0,
+        "vertex": 1
+      },
+      {
+        "edge_after": 0,
+        "edge_before": 2,
+        "vertex": 3
+      }
+    ],
+    "ok": false
+  },
+  "verdict": "accepted"
+}
+"""
 
 
 def test_recognize_rejects(tmp_path, capsys):
@@ -250,8 +281,10 @@ def break_semantics(draw, kind: str, doc: dict) -> None:
         else:
             items.remove(sorted((v, (v + 1) % n)))
     elif kind == "polygon":
-        way = draw(st.sampled_from(["few", "duplicate", "clockwise", "collinear"]))
-        if way == "few":
+        way = draw(st.sampled_from(["few", "duplicate", "clockwise", "collinear", "crossing"]))
+        if way == "crossing":  # joined to a shifted copy: the joins are crossing diagonals
+            items.extend([x + 100, y + 100] for x, y in list(items))
+        elif way == "few":
             del items[draw(st.integers(0, 2)):]
         elif way == "duplicate":
             items.insert(draw(st.integers(0, len(items))), list(items[pick]))
@@ -440,6 +473,34 @@ def test_corpus_deterministic(capsys):
     report = json.loads(first)
     assert report["failures"] == []
     assert report["first_failing_seed"] is None
+
+
+def test_corpus_single_n(capsys):
+    code, out = run(capsys, ["corpus", "--count", "2", "--n", "8", "--seed", "3"])
+    assert code == 0
+    assert json.loads(out)["n_range"] == "8..8"
+    assert run(capsys, ["corpus", "--count", "2", "--n", "8..8", "--seed", "3"]) == (0, out)
+
+
+def test_corpus_lists_failures_by_seed(monkeypatch, capsys):
+    # a polygon is its (n, seed); (7, 13) fails two checks, (5, 14) one
+    failing = {(7, 13): ("ve_match", "edge_vertex"), (5, 14): ("nc_clean",)}
+    monkeypatch.setattr(geometry, "random_simple_polygon", lambda n, seed: (n, seed))
+    monkeypatch.setattr(
+        cli, "check_polygon", lambda p: {c: c not in failing.get(p, ()) for c in CORPUS_CHECKS})
+    code, out = run(capsys, ["corpus", "--count", "4", "--n", "5..7", "--seed", "11"])
+    report = json.loads(out)
+    assert code == 1
+    assert report["failures"] == [
+        {"check": "edge_vertex", "n": 7, "seed": 13},
+        {"check": "ve_match", "n": 7, "seed": 13},
+        {"check": "nc_clean", "n": 5, "seed": 14},
+    ]
+    assert report["first_failing_seed"] == 13
+    fails = {"ve_match": 1, "edge_vertex": 1, "nc_clean": 1}
+    assert report["checks"] == {
+        c: {"pass": 4 - fails.get(c, 0), "fail": fails.get(c, 0)} for c in CORPUS_CHECKS
+    }
 
 
 def test_corpus_rejects_small_n(capsys):

@@ -94,8 +94,11 @@ def test_collinear_rejected():
 
 
 def test_non_simple_rejected():
-    with pytest.raises(DegenerateInput):
+    with pytest.raises(DegenerateInput):  # zero area: refused as clockwise
         validate_polygon([(0, 0), (4, 5), (4, 0), (0, 5)])
+    # positive area and no collinear triple, so only the crossing test refuses it
+    with pytest.raises(DegenerateInput, match="^edges 0 and 3 cross: not simple$"):
+        validate_polygon([(0, 0), (10, 0), (10, 10), (0, 10), (5, -5)])
 
 
 def test_clockwise_rejected():
@@ -106,6 +109,9 @@ def test_clockwise_rejected():
 def test_non_integer_rejected():
     with pytest.raises(DegenerateInput):
         validate_polygon([(0, 0), (1.5, 0), (1, 1)])
+    # True == 1, but the polygon's JSON would hold true and not read back
+    with pytest.raises(DegenerateInput, match=r"^non-integer coordinate \(True, 0\)$"):
+        validate_polygon([(True, 0), (4, 0), (0, 3)])
 
 
 def test_visibility_graph_fixtures(unit_square, dent5_poly, dent5_graph):
@@ -326,6 +332,36 @@ def _planted(p, table, value):
     if table is visibility_graph:
         del q.tables[_exit_table]
     return q
+
+
+def test_oracle_contradictions_on_planted_tables(dent5_poly):
+    """Each failure message of the designated-blocker extraction and of
+    the ray scan, from one table planted on a copy of dent5, whose
+    invisible pairs (1,3), (1,4), (3,1) and (4,1) all have blocker 2."""
+    p = dent5_poly
+    ve, g, exits = ve_graph_geo(p), visibility_graph(p), _exit_table(p)
+    viewer1 = VEGraph(p.n, (ve.rows[0], ve.rows[1] ^ 1 << 2, *ve.rows[2:]))
+    assert check_blocker_uniqueness(_planted(p, ve_graph_geo, viewer1)) == [
+        f"pair (1,{j}): viewer 1 sees 2 edges between p2 and p0, expected 1" for j in (3, 4)
+    ]
+    chord = _planted(p, visibility_graph, VisGraph(p.n, g.edges | {(1, 3)}))
+    assert check_blocker_uniqueness(chord) == [
+        "pair (1,4): geometric blocker p3 of (1,4) is not a candidate",
+        "pair (4,1): geometric blocker p2 of (4,1) is not a candidate",
+    ]
+    with pytest.raises(OracleContradiction, match=r"^geometric blocker p3 of \(1,4\) is"):
+        geometric_blockers(chord)
+    # the ray from p2 away from p1 leaves at once, so no vertex blocks (1,3)
+    # or (1,4) by the ray rule
+    assert check_blocker_uniqueness(_planted(p, _exit_table, {**exits, (2, 1): None})) == [
+        f"pair (1,{j}): ray scan found [], extraction found 2" for j in (3, 4)
+    ]
+    # p2 is on the far side of (3,1); its ray away from p3 now exits through
+    # edge 3, on the walk from p3 to p1 but not on the edges from p0 (the
+    # first vertex p3 sees clockwise from p1) to p2
+    assert exits[(2, 3)][0] == 0
+    far = _planted(p, _exit_table, {**exits, (2, 3): (3, 1, 1)})
+    assert check_blocker_uniqueness(far) == ["pair (3,1): exit conventions disagree at p2"]
 
 
 # "both case holds" is not among them: case A needs the viewer to see va

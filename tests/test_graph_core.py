@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from pseudovis import (
     IndexOutOfRange,
+    MalformedInput,
     MissingCycleEdge,
     SelfLoop,
     all_candidates,
@@ -78,6 +79,20 @@ def test_index_out_of_range():
         validate_graph(4, [[0, 1], [1, 2], [2, 3], [3, 4]])
     with pytest.raises(IndexOutOfRange):
         validate_graph(2, [[0, 1]])
+
+
+@pytest.mark.parametrize(
+    "n, pairs",
+    [
+        (4, [[0, 1.0], [1, 2], [2, 3], [3, 0]]),  # find_assignment would fail in rows
+        (4, [[0, True], [1, 2], [2, 3], [3, 0]]),  # graph_to_json would write true
+        (4.0, [[0, 1], [1, 2], [2, 3], [3, 0]]),  # range would fail
+        (True, [[0, 1], [1, 0]]),
+    ],
+)
+def test_non_integer_graph_is_malformed(n, pairs):
+    with pytest.raises(MalformedInput, match="integer"):
+        validate_graph(n, pairs)
 
 
 def test_duplicates_ignored():
