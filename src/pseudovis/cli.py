@@ -45,7 +45,7 @@ def cmd_recognize(args) -> int:
         failures = check_ve_characterization(ve, g)
         extra = {"ve_check": {"ok": not failures, "failures": [asdict(f) for f in failures]}}
     sys.stdout.write(recognizer.verdict_to_json(verdict, extra))
-    return EXIT_PASS if verdict.accepted else EXIT_FAIL
+    return EXIT_PASS if extra and extra["ve_check"]["ok"] else EXIT_FAIL
 
 
 def cmd_check(args) -> int:
@@ -60,9 +60,9 @@ def cmd_check(args) -> int:
 
 def _lemma_report(p: geometry.Polygon) -> dict:
     return {
+        "unique_blockers": geometry.check_blocker_uniqueness(p),
         "edge_vertex": geometry.check_edge_vertex_visibility(p),
         "gap_cases": geometry.check_gap_witness_cases(p),
-        "unique_blockers": geometry.check_blocker_uniqueness(p),
     }
 
 
@@ -111,15 +111,12 @@ CORPUS_CHECKS = (
 def check_polygon(p: geometry.Polygon) -> dict[str, bool]:
     """Run the full ground-truth property battery on one polygon."""
     g = geometry.visibility_graph(p)
-    results = {}
-    results["unique_blockers"] = not geometry.check_blocker_uniqueness(p)
+    results = {name: not failures for name, failures in _lemma_report(p).items()}
     a_geo = geometry.geometric_blockers(p)
     results["nc_clean"] = not check_conditions(g, a_geo)
     ve_geo = geometry.ve_graph_geo(p)
     results["ve_match"] = build_ve(g, a_geo) == ve_geo
     results["ve_characterization"] = not check_ve_characterization(ve_geo, g)
-    results["edge_vertex"] = not geometry.check_edge_vertex_visibility(p)
-    results["gap_cases"] = not geometry.check_gap_witness_cases(p)
     verdict = recognizer.find_assignment(g)
     recognized = verdict.accepted
     if recognized:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .blockers import CandidateTable, candidate_table, first_seen
+from .blockers import candidate_table, first_seen
 from .errors import (
     DegenerateInput,
     GenerationBudgetExceeded,
@@ -188,30 +188,24 @@ def visibility_graph(p: Polygon) -> VisGraph:
     return VisGraph(n, frozenset(edges))
 
 
-def _first_exit(p: Polygon, k: int, away: int) -> tuple[int, int, int] | None:
-    """_nearest_crossing of the ray from vertex k directed away from vertex
-    ``away``; None when it leaves the interior cone at k immediately."""
-    (ox, oy), (ax, ay) = p.vertices[k], p.vertices[away]
-    dx, dy = ox - ax, oy - ay
-    if not _cone_contains(p, k, dx, dy):
-        return None
-    hit = _nearest_crossing(p, k, dx, dy)
-    if hit is None:  # an interior direction must cross the boundary
-        raise OracleContradiction(f"ray from p{k} away from p{away} never exits")
-    return hit
-
-
 @derived_table
 def _exit_table(p: Polygon) -> dict[Pair, tuple[int, int, int] | None]:
-    """_first_exit(p, k, a) for every ordered pair (k, a) where a sees k,
-    keyed (k, a); its keys are exactly the ordered visible pairs."""
-    r = rows(visibility_graph(p))
-    return {
-        (k, a): _first_exit(p, k, a)
-        for k in range(p.n)
-        for a in range(p.n)
-        if r[k] >> a & 1
-    }
+    """For every ordered pair (k, a) where a sees k, keyed (k, a): the
+    _nearest_crossing of the ray from vertex k directed away from vertex a,
+    or None when it leaves the interior cone at k immediately.  Its keys
+    are exactly the ordered visible pairs."""
+    r, pts = rows(visibility_graph(p)), p.vertices
+    table: dict[Pair, tuple[int, int, int] | None] = {}
+    for k in range(p.n):
+        for a in bits_from(r[k], 0):
+            dx, dy = pts[k][0] - pts[a][0], pts[k][1] - pts[a][1]
+            if not _cone_contains(p, k, dx, dy):
+                table[k, a] = None
+                continue
+            table[k, a] = _nearest_crossing(p, k, dx, dy)
+            if table[k, a] is None:  # an interior direction must cross the boundary
+                raise OracleContradiction(f"ray from p{k} away from p{a} never exits")
+    return table
 
 
 def _is_witness(r: tuple, exits: dict, i: int, w: int, m: int) -> bool:
@@ -263,63 +257,58 @@ def ve_graph_geo(p: Polygon) -> VEGraph:
     )
 
 
-def designated_blocker_geo(p: Polygon, pair: Pair) -> int:
-    """The unique vertex geometrically responsible for an invisible pair.
+@derived_table
+def _designated_blockers(p: Polygon) -> dict[int, int | OracleContradiction]:
+    """The unique vertex geometrically responsible for each ordered
+    invisible pair (i, j), by entry code i * n + j.
 
     Walks from the target to the first vertex the viewer sees on each
     side; the viewer must see exactly one boundary edge between those two
     vertices, and the side of the target that edge falls on selects the
-    blocker.  Any other outcome raises OracleContradiction.
+    blocker, which must be a candidate.  Any other outcome is stored
+    unraised, as an OracleContradiction without a traceback.
     """
     g = visibility_graph(p)
-    i, j = pair
-    if i == j or g.visible(i, j):
-        raise NotInvisible(f"({i},{j}) is not an invisible pair")
-    return _designated(rows(g), ve_graph_geo(p).rows, candidate_table(g), pair)
-
-
-def _designated(r: tuple, ve_rows: tuple, t: CandidateTable, pair: Pair) -> int:
-    """designated_blocker_geo of an invisible pair, from the polygon's tables."""
-    n = t.n
-    i, j = pair
-    k, k2 = first_seen(n, r[i], j, -1), first_seen(n, r[i], j, 1)
-    seen = ve_rows[i] & arc_mask(n, k, (k2 - 1) % n)
-    if seen.bit_count() != 1:
-        raise OracleContradiction(
-            f"viewer {i} sees {seen.bit_count()} edges between p{k} and p{k2}, expected 1"
-        )
-    blocker = k if seen & arc_mask(n, j, (k2 - 1) % n) else k2
-    if not t.admits(i * n + j, blocker):
-        raise OracleContradiction(
-            f"geometric blocker p{blocker} of ({i},{j}) is not a candidate"
-        )
-    return blocker
-
-
-@derived_table
-def _designated_blockers(p: Polygon) -> dict[int, int | OracleContradiction]:
-    """designated_blocker_geo's outcome for every ordered invisible pair,
-    by entry code i * n + j: the blocker, or the contradiction it raised,
-    kept without its traceback so the table holds no frame."""
-    g = visibility_graph(p)
-    r, ve_rows, t = rows(g), ve_graph_geo(p).rows, candidate_table(g)
+    r, ve_rows, t, n = rows(g), ve_graph_geo(p).rows, candidate_table(g), p.n
     outcomes: dict[int, int | OracleContradiction] = {}
     for c in bits_from(t.inv, 0):
-        try:
-            outcomes[c] = _designated(r, ve_rows, t, divmod(c, t.n))
-        except OracleContradiction as exc:
-            outcomes[c] = exc.with_traceback(None)
+        i, j = divmod(c, n)
+        k, k2 = first_seen(n, r[i], j, -1), first_seen(n, r[i], j, 1)
+        seen = ve_rows[i] & arc_mask(n, k, (k2 - 1) % n)
+        blocker = k if seen & arc_mask(n, j, (k2 - 1) % n) else k2
+        if seen.bit_count() != 1:
+            outcomes[c] = OracleContradiction(
+                f"viewer {i} sees {seen.bit_count()} edges between p{k} and p{k2}, expected 1"
+            )
+        elif not t.admits(c, blocker):
+            outcomes[c] = OracleContradiction(
+                f"geometric blocker p{blocker} of ({i},{j}) is not a candidate"
+            )
+        else:
+            outcomes[c] = blocker
     return outcomes
+
+
+def designated_blocker_geo(p: Polygon, pair: Pair) -> int:
+    """_designated_blockers' blocker of one ordered invisible pair; raises
+    NotInvisible for any other pair and its OracleContradiction if any."""
+    c = candidate_table(visibility_graph(p)).code(pair)
+    if c is None:
+        raise NotInvisible("({},{}) is not an invisible pair".format(*pair))
+    return _raised(_designated_blockers(p)[c])
+
+
+def _raised(outcome: int | OracleContradiction) -> int:
+    """A stored outcome's blocker; a stored contradiction is raised afresh."""
+    if isinstance(outcome, OracleContradiction):
+        raise outcome.with_traceback(None)
+    return outcome
 
 
 def geometric_blockers(p: Polygon) -> dict[Pair, int]:
     """Designated blocker of every ordered invisible pair; raises the
     first OracleContradiction."""
-    outcomes = _designated_blockers(p)
-    for outcome in outcomes.values():
-        if isinstance(outcome, OracleContradiction):
-            raise outcome.with_traceback(None)
-    return {divmod(c, p.n): k for c, k in outcomes.items()}
+    return {divmod(c, p.n): _raised(k) for c, k in _designated_blockers(p).items()}
 
 
 def check_blocker_uniqueness(p: Polygon) -> list[str]:
@@ -476,7 +465,7 @@ def random_simple_polygon(n: int, seed: int) -> Polygon:
                 continue
             if signed_area2(tuple(pts)) < 0:
                 pts.reverse()
-            return validate_polygon(pts)
+            return Polygon(tuple(pts))
         width = 2 * width - 1
     raise GenerationBudgetExceeded(
         f"no valid polygon for n={n} seed={seed} in {GRID_ROUNDS} grids"

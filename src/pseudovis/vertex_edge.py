@@ -95,9 +95,11 @@ def check_ve_characterization(
           from k to j, or
       (2) vertex j sees e_i and is an articulation vertex of the walk
           from i+1 to k.
-    Both or neither holding is a failure.  A row in which its vertex
-    misses an incident edge raises MalformedInput.  candidates is unused:
-    every reader takes the graph's own candidate_table.
+    Both or neither holding is a failure.  The rule is necessary but does
+    not decide recognition: 21 of the chordless 5-cycle's 1,024 candidate
+    assignments pass it, and each breaks an NC condition.  A row in which
+    its vertex misses an incident edge raises MalformedInput.  candidates
+    is unused: every reader takes the graph's own candidate_table.
     """
     n, ve_rows = g.n, ve.rows
     for k in range(n):

@@ -164,21 +164,13 @@ def test_ve_graph_matches_sees_edge():
                     assert ve.sees(i, m) == sees_edge(p, i, m)[0], (n, seed, i, m)
 
 
-def test_each_designated_blocker_derived_once(monkeypatch):
-    # designated_blocker_geo and the per-polygon table share one helper,
-    # which takes the polygon's tables, fetched once per polygon
-    calls = []
-    designated = geometry._designated
-
-    def counted(r, ve_rows, t, pair):
-        calls.append(pair)
-        return designated(r, ve_rows, t, pair)
-
-    monkeypatch.setattr(geometry, "_designated", counted)
-    p = random_simple_polygon(10, 17)
-    assert not check_blocker_uniqueness(p)
-    geometric_blockers(p)
-    assert sorted(calls) == invisible_pairs(visibility_graph(p))
+def test_designated_blocker_geo_reads_the_table(sample_polygons):
+    # one pair's blocker is the per-polygon table's entry for it
+    for p in sample_polygons:
+        blockers = geometric_blockers(p)
+        assert sorted(blockers) == invisible_pairs(visibility_graph(p))
+        for pair, blocker in blockers.items():
+            assert designated_blocker_geo(p, pair) == blocker, (p.vertices, pair)
 
 
 def test_designated_blockers_fetch_each_table_once(monkeypatch):
@@ -202,18 +194,30 @@ def test_designated_blockers_fetch_each_table_once(monkeypatch):
     assert fetched == Counter(visibility_graph=1, rows=1, ve_graph_geo=1, candidate_table=1)
 
 
-def test_designated_contradiction_reaches_both_readers(monkeypatch, dent5_poly):
-    designated = geometry._designated
+def test_designated_contradiction_reaches_every_reader(dent5_poly):
+    # (1, 3) has entry code 1 * 5 + 3; dent5's other invisible pairs keep blocker 2
+    p, forced = dent5_poly, OracleContradiction("forced")
+    q = _planted(p, geometry._designated_blockers, {**geometry._designated_blockers(p), 8: forced})
+    assert check_blocker_uniqueness(q) == ["pair (1,3): forced"]
+    with pytest.raises(OracleContradiction, match="^forced$"):
+        geometric_blockers(q)
+    with pytest.raises(OracleContradiction, match="^forced$"):
+        designated_blocker_geo(q, (1, 3))
+    for pair in [(1, 4), (3, 1), (4, 1)]:
+        assert designated_blocker_geo(q, pair) == 2
 
-    def contradicts(r, ve_rows, t, pair):
-        if pair == (1, 3):
-            raise OracleContradiction("forced")
-        return designated(r, ve_rows, t, pair)
 
-    monkeypatch.setattr(geometry, "_designated", contradicts)
-    assert check_blocker_uniqueness(dent5_poly) == ["pair (1,3): forced"]
-    with pytest.raises(OracleContradiction, match="forced"):
-        geometric_blockers(dent5_poly)
+def test_designated_blocker_geo_refuses_every_other_pair():
+    # out-of-range and negative ends never reach the extraction, where they
+    # indexed past the rows, shifted by a negative count or read another
+    # pair's bits as a contradiction
+    p = random_simple_polygon(8, 1)
+    g = visibility_graph(p)
+    others = [(-1, 2), (2, 10), (8, 2), (-8, 3), (2, -6), (2, 13), (3, 3)]
+    others += [(i, j) for i in range(8) for j in range(8) if i != j and g.visible(i, j)]
+    for pair in others:
+        with pytest.raises(NotInvisible, match=r"^\({},{}\) is not an invisible pair$".format(*pair)):
+            designated_blocker_geo(p, pair)
 
 
 def test_sees_edge_witnesses(dent5_poly):
@@ -428,7 +432,9 @@ GENERATION_GOLDEN_DIGEST = "afddc99dbef0511944d6f52269de73cc0d92308e234cd61a4674
 def test_golden_generated_polygons():
     digest = hashlib.sha256()
     for n, seed in [(n, s) for n in range(3, 41) for s in (1, 2, 3)] + [(64, 1)]:
-        digest.update(polygon_to_json(random_simple_polygon(n, seed)).encode())
+        p = random_simple_polygon(n, seed)
+        assert validate_polygon(p.vertices) == p, (n, seed)  # the generator skips this
+        digest.update(polygon_to_json(p).encode())
     assert digest.hexdigest() == GENERATION_GOLDEN_DIGEST
 
 

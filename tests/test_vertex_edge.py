@@ -12,9 +12,11 @@ from pseudovis import (
     VertexOutsideInterval,
     all_candidates,
     build_ve,
+    check_conditions,
     check_ve_characterization,
     find_assignment,
     geometric_blockers,
+    invisible_pairs,
     is_articulation,
     random_simple_polygon,
     seen_edge_gaps,
@@ -208,6 +210,22 @@ def test_characterization_on_accepted_assignments(quad4, sample_polygons):
         v = find_assignment(g)
         assert v.accepted
         assert check_ve_characterization(build_ve(g, v.assignment), g) == []
+
+
+def test_characterization_is_necessary_not_sufficient():
+    """On the chordless 5-cycle, which the recognizer rejects, 21 of the
+    1,024 total candidate assignments pass the vertex-edge check; each
+    breaks an NC condition, so the check alone does not decide recognition."""
+    g = cycle_graph(5)
+    assert not find_assignment(g).accepted
+    cand, pairs = all_candidates(g), invisible_pairs(g)
+    domains = [cand[p].members() for p in pairs]
+    assignments = [dict(zip(pairs, values)) for values in itertools.product(*domains)]
+    passing = [a for a in assignments if not check_ve_characterization(build_ve(g, a), g)]
+    assert (len(assignments), len(passing)) == (1024, 21)
+    violations = [check_conditions(g, a) for a in passing]
+    assert all(violations)
+    assert violations[0][0].narrative == "NC1a: p3 on (2,0) requires p3 on (2,4), found p1"
 
 
 def test_row_missing_an_incident_edge_is_malformed_input():
