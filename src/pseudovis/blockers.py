@@ -92,10 +92,11 @@ class CandidateTable:
 
     def code(self, pair: Pair) -> int | None:
         """pair's code if it is an ordered invisible pair, else None.  Its
-        ends are range-checked first, so no other pair aliases a code."""
+        ends are type- and range-checked first, so no other pair aliases a
+        code: a float or bool end is no vertex."""
         i, j = pair
         n = self.n
-        if 0 <= i < n and 0 <= j < n and self.inv >> i * n + j & 1:
+        if type(i) is type(j) is int and 0 <= i < n and 0 <= j < n and self.inv >> i * n + j & 1:
             return i * n + j
         return None
 

@@ -100,7 +100,8 @@ class EntryIndex:
     - by_target[t][b]: bit v is set iff (v, t) -> b;
     - viewers[t]: bit v is set iff (v, t) has an entry;
     - by_blocker[b]: bit v * n + t is set iff (v, t) -> b, so ascending
-      bits are the entries in lexicographic order.
+      bits are the entries in lexicographic order;
+    - assigned: bit v * n + t is set iff (v, t) has an entry.
 
     rows, mask, cw_mask and partners are the graph's rows(g),
     candidate_table(g).mask and .cw_mask and nc4_partners(g), read once
@@ -108,7 +109,7 @@ class EntryIndex:
     """
 
     __slots__ = ("n", "rows", "mask", "cw_mask", "partners", "column", "a",
-                 "by_viewer", "by_target", "viewers", "by_blocker")
+                 "by_viewer", "by_target", "viewers", "by_blocker", "assigned")
 
     def __init__(self, g: VisGraph) -> None:
         n, t = g.n, candidate_table(g)
@@ -120,6 +121,7 @@ class EntryIndex:
         self.by_target = [[0] * n for _ in range(n)]
         self.viewers = [0] * n
         self.by_blocker = [0] * n
+        self.assigned = 0
 
     def assign(self, c: int, b: int) -> int:
         """Push the entry c -> b, code c unassigned, and return the codes
@@ -133,7 +135,9 @@ class EntryIndex:
         self.by_viewer[v][b] |= 1 << t
         self.by_target[t][b] |= 1 << v
         self.viewers[t] |= 1 << v
-        self.by_blocker[b] |= 1 << c
+        bit = 1 << c
+        self.by_blocker[b] |= bit
+        self.assigned |= bit
         readers, mine = self.by_viewer[b][v] << b * n, self.by_blocker[t]
         if mine:  # the codes of the viewers on the walks t + 1 .. v and v .. t - 1
             nn, cw = n * n, self.cw_mask[t]
@@ -151,7 +155,9 @@ class EntryIndex:
             self.by_viewer[v][b] &= ~(1 << t)
             self.by_target[t][b] &= ~(1 << v)
             self.viewers[t] &= ~(1 << v)
-            self.by_blocker[b] &= ~(1 << c)
+            bit = 1 << c  # set in both masks, as a[c] was b
+            self.by_blocker[b] ^= bit
+            self.assigned ^= bit
 
 
 def entry_requirements(

@@ -38,7 +38,7 @@ class NotACandidate(PseudovisError):
 
 
 class InvalidAssignment(PseudovisError):
-    """Assignment failed verification where a verified one is required."""
+    """An entry's blocker is its own viewer or target (build_ve)."""
 
 
 class VertexOutsideInterval(PseudovisError):

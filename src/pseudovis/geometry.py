@@ -258,32 +258,29 @@ def ve_graph_geo(p: Polygon) -> VEGraph:
 
 
 @derived_table
-def _designated_blockers(p: Polygon) -> dict[int, int | OracleContradiction]:
+def _designated_blockers(p: Polygon) -> dict[int, int | str]:
     """The unique vertex geometrically responsible for each ordered
     invisible pair (i, j), by entry code i * n + j.
 
     Walks from the target to the first vertex the viewer sees on each
     side; the viewer must see exactly one boundary edge between those two
     vertices, and the side of the target that edge falls on selects the
-    blocker, which must be a candidate.  Any other outcome is stored
-    unraised, as an OracleContradiction without a traceback.
+    blocker, which must be a candidate.  Any other outcome is stored as
+    its OracleContradiction message, so the table holds no exception.
     """
     g = visibility_graph(p)
     r, ve_rows, t, n = rows(g), ve_graph_geo(p).rows, candidate_table(g), p.n
-    outcomes: dict[int, int | OracleContradiction] = {}
+    outcomes: dict[int, int | str] = {}
     for c in bits_from(t.inv, 0):
         i, j = divmod(c, n)
         k, k2 = first_seen(n, r[i], j, -1), first_seen(n, r[i], j, 1)
         seen = ve_rows[i] & arc_mask(n, k, (k2 - 1) % n)
         blocker = k if seen & arc_mask(n, j, (k2 - 1) % n) else k2
         if seen.bit_count() != 1:
-            outcomes[c] = OracleContradiction(
-                f"viewer {i} sees {seen.bit_count()} edges between p{k} and p{k2}, expected 1"
-            )
+            outcomes[c] = (f"viewer {i} sees {seen.bit_count()} edges"
+                           f" between p{k} and p{k2}, expected 1")
         elif not t.admits(c, blocker):
-            outcomes[c] = OracleContradiction(
-                f"geometric blocker p{blocker} of ({i},{j}) is not a candidate"
-            )
+            outcomes[c] = f"geometric blocker p{blocker} of ({i},{j}) is not a candidate"
         else:
             outcomes[c] = blocker
     return outcomes
@@ -298,10 +295,11 @@ def designated_blocker_geo(p: Polygon, pair: Pair) -> int:
     return _raised(_designated_blockers(p)[c])
 
 
-def _raised(outcome: int | OracleContradiction) -> int:
-    """A stored outcome's blocker; a stored contradiction is raised afresh."""
-    if isinstance(outcome, OracleContradiction):
-        raise outcome.with_traceback(None)
+def _raised(outcome: int | str) -> int:
+    """A stored outcome's blocker; a stored message is raised as a new
+    OracleContradiction, so no raise leaves a traceback in the table."""
+    if isinstance(outcome, str):
+        raise OracleContradiction(outcome)
     return outcome
 
 
@@ -334,7 +332,7 @@ def check_blocker_uniqueness(p: Polygon) -> list[str]:
     failures = []
     for c, algo in _designated_blockers(p).items():
         i, j = divmod(c, n)
-        if isinstance(algo, OracleContradiction):
+        if isinstance(algo, str):
             failures.append(f"pair ({i},{j}): {algo}")
             continue
         by_ray = []

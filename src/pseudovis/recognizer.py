@@ -10,11 +10,11 @@ extension of a closure.  Rejection comes with a re-checkable certificate.
 
 The whole search works on one EntryIndex, which owns the assignment: a
 dict from entry codes v * n + t to blockers in push order, so also the
-trail.  Every entry, decided or forced, is pushed onto it; a search node
-records its length as its mark, and backtracking pops it back to the
-mark, undoing those entries in the index.  Pairs are decoded only for
-output.  The search is a loop over an explicit stack of nodes, so its
-depth costs no Python recursion.
+trail, and the code mask `assigned` of its keys.  A search node branches
+on the lowest unassigned one-candidate code, else two-candidate code,
+and records the trail's length as its mark; backtracking undoes every
+entry pushed since.  Pairs are decoded only for output.  The nodes are
+an explicit stack, so depth costs no Python recursion.
 """
 
 from __future__ import annotations
@@ -129,23 +129,20 @@ def find_assignment(
     for c in bits_from(t.inv & ~once, 0):  # the first pair without one
         return Verdict(False, certificate=EmptyCandidateSet(divmod(c, n)))
 
-    # (code, candidates cw first) for one-candidate, then two-candidate codes
-    cw, ccw = t.cw, t.ccw
-    order = [(c, (cw[c] if ccw[c] is None else ccw[c],)) for c in bits_from(t.inv & ~twice, 0)]
-    order += [(c, (cw[c], ccw[c])) for c in bits_from(twice, 0)]
+    single = t.inv & ~twice  # the one-candidate codes
     conflicts: list[tuple[int, Violation]] = []
     nodes = 0
     idx = EntryIndex(g)
-    # One frame per decided variable: [its position in order, the index
-    # of its next value, the trail's length before it was assigned].
-    stack: list[list[int]] = []
+    # One frame per decided variable: (its code, the trail's length before
+    # it was assigned, its untried values, cw last so that it pops first).
+    stack: list[tuple[int, int, list[int]]] = []
     bad: Violation | None = None  # the empty root closure is consistent
-    pos = 0
     while True:
         if bad is None:
-            pos = next((p for p in range(pos, len(order)) if order[p][0] not in idx.a), -1)
-            if pos >= 0:
-                stack.append([pos, 0, len(idx.a)])
+            free = single & ~idx.assigned or twice & ~idx.assigned
+            if free:
+                c = (free & -free).bit_length() - 1
+                stack.append((c, len(idx.a), [b for b in (t.ccw[c], t.cw[c]) if b is not None]))
             else:  # a total assignment: only NC5 is left to check
                 bad = next(_nc5_violations(idx), None)
                 if bad is None:
@@ -153,18 +150,15 @@ def find_assignment(
         if bad is not None:
             conflicts.append((len(idx.a), bad))
         while stack:
-            frame = stack[-1]
-            pos, i, mark = frame
-            c, values = order[pos]
+            c, mark, values = stack[-1]
             idx.undo(mark)
-            if i < len(values):
-                frame[1] = i + 1
+            if values:
                 nodes += 1
                 if nodes > node_budget:
                     raise SearchBudgetExceeded(
                         f"no verdict within {node_budget} search nodes"
                     )
-                bad = _propagate(idx, c, values[i])
+                bad = _propagate(idx, c, values.pop())
                 break
             stack.pop()
         else:

@@ -101,8 +101,10 @@ def test_not_a_candidate(dent5_graph):
     ((-1, 3), 4, UnknownPair, "(-1,3) is not an invisible pair"),  # a negative code
     ((2, 5), -1, NotACandidate, "p-1 is not a candidate blocker for (2,5)"),
     ((2, 5), 8, NotACandidate, "p8 is not a candidate blocker for (2,5)"),
+    ((2.0, 5), 4, UnknownPair, "(2.0,5) is not an invisible pair"),  # no vertex 2.0
+    ((False, 2), 1, UnknownPair, "(False,2) is not an invisible pair"),  # not (0, 2)
 ], ids=["alias", "alias-negative-target", "alias-negative-viewer", "negative-code",
-        "blocker-minus-1", "blocker-n"])
+        "blocker-minus-1", "blocker-n", "float-end", "bool-end"])
 def test_out_of_range_entries_are_rejected(pair, k, error, problem):
     """Entries outside the graph are unknown pairs or not candidates, to
     the checker and to verify alike, never a code of another pair."""
@@ -113,7 +115,9 @@ def test_out_of_range_entries_are_rejected(pair, k, error, problem):
         check_conditions(g, a)
     with pytest.raises(error):
         first_violation(g, a)
-    unassigned = [f"({i},{j}) is unassigned" for i, j in invisible_pairs(g) if (i, j) != pair]
+    # (2, 5) == (2.0, 5) and (0, 2) == (False, 2), so match pairs as printed
+    unassigned = [f"({i},{j}) is unassigned" for i, j in invisible_pairs(g)
+                  if f"({i},{j})" != "({},{})".format(*pair)]
     assert verify(g, a) == VerifyReport(False, (problem, *unassigned), ())
 
 

@@ -196,8 +196,9 @@ def test_designated_blockers_fetch_each_table_once(monkeypatch):
 
 def test_designated_contradiction_reaches_every_reader(dent5_poly):
     # (1, 3) has entry code 1 * 5 + 3; dent5's other invisible pairs keep blocker 2
-    p, forced = dent5_poly, OracleContradiction("forced")
-    q = _planted(p, geometry._designated_blockers, {**geometry._designated_blockers(p), 8: forced})
+    p = dent5_poly
+    table = {**geometry._designated_blockers(p), 8: "forced"}  # a stored message
+    q = _planted(p, geometry._designated_blockers, table)
     assert check_blocker_uniqueness(q) == ["pair (1,3): forced"]
     with pytest.raises(OracleContradiction, match="^forced$"):
         geometric_blockers(q)
@@ -208,12 +209,14 @@ def test_designated_contradiction_reaches_every_reader(dent5_poly):
 
 
 def test_designated_blocker_geo_refuses_every_other_pair():
-    # out-of-range and negative ends never reach the extraction, where they
-    # indexed past the rows, shifted by a negative count or read another
-    # pair's bits as a contradiction
+    # out-of-range, negative and non-int ends never reach the extraction,
+    # where they indexed past the rows, shifted by a negative count or read
+    # another pair's bits; (2.0, 5) shifted by a float and (False, 2) read
+    # the invisible pair (0, 2)
     p = random_simple_polygon(8, 1)
     g = visibility_graph(p)
     others = [(-1, 2), (2, 10), (8, 2), (-8, 3), (2, -6), (2, 13), (3, 3)]
+    others += [(2.0, 5), (False, 2)]
     others += [(i, j) for i in range(8) for j in range(8) if i != j and g.visible(i, j)]
     for pair in others:
         with pytest.raises(NotInvisible, match=r"^\({},{}\) is not an invisible pair$".format(*pair)):
@@ -355,6 +358,9 @@ def test_oracle_contradictions_on_planted_tables(dent5_poly):
     ]
     with pytest.raises(OracleContradiction, match=r"^geometric blocker p3 of \(1,4\) is"):
         geometric_blockers(chord)
+    # the caught raise left no traceback, so no frame, in the stored table
+    stored = chord.tables[geometry._designated_blockers].values()
+    assert not any(getattr(o, "__traceback__", None) for o in stored)
     # the ray from p2 away from p1 leaves at once, so no vertex blocks (1,3)
     # or (1,4) by the ray rule
     assert check_blocker_uniqueness(_planted(p, _exit_table, {**exits, (2, 1): None})) == [

@@ -90,6 +90,32 @@ def test_budget_exceeded():
         find_assignment(cycle_graph(6), node_budget=1)
 
 
+# (n, seed, edge flipped, nodes): polygon graphs, some with one edge added
+# or removed, and the number of nodes each search visits, recorded before
+# the search picked its variables from code masks.  Five are accepted,
+# three exhausted at their only conflict and four after many.
+NODE_COUNTS = [
+    (9, 1, None, 5), (12, 4, None, 20), (10, 27, None, 16), (10, 37, (3, 5), 15),
+    (10, 16, (1, 8), 17), (10, 7, (2, 6), 7), (11, 8, (1, 6), 3), (12, 9, (3, 11), 10),
+    (8, 5, (2, 5), 69), (10, 12, (2, 6), 25), (12, 286, (2, 4), 306), (12, 127, (8, 10), 423),
+]
+
+
+def test_node_counts_are_pinned():
+    # a budget of K nodes gives the verdict and K - 1 raises, so the search
+    # visits exactly K: variable and value order are unchanged
+    conflicts = []
+    for n, seed, flip, nodes in NODE_COUNTS:
+        g = visibility_graph(random_simple_polygon(n, seed))
+        if flip is not None:
+            g = validate_graph(n, sorted(g.edges ^ {flip}))
+        v = find_assignment(g, node_budget=nodes)
+        conflicts.append(None if v.accepted else len(v.certificate.conflicts))
+        with pytest.raises(SearchBudgetExceeded):
+            find_assignment(g, node_budget=nodes - 1)
+    assert conflicts == [None] * 5 + [1] * 3 + [35, 12, 150, 210]
+
+
 def test_determinism(dent5_graph):
     a = find_assignment(dent5_graph)
     b = find_assignment(dent5_graph)
@@ -244,6 +270,37 @@ def test_small_n_census(n, accepted):
                 for i, j in edges
             )
             assert verdicts[image] == ok
+
+
+@st.composite
+def chord_graphs_and_mutants(draw):
+    n = draw(st.integers(5, 10))
+    if draw(st.booleans()):
+        return cycle_graph(n, draw(st.frozensets(st.sampled_from(cycle_chords(n)))))
+    g = visibility_graph(random_simple_polygon(n, draw(st.integers(0, 10_000))))
+    non = [(i, j) for i in range(n) for j in range(i + 1, n) if not g.visible(i, j)]
+    if non:  # a convex polygon's graph has none
+        g = validate_graph(n, sorted(g.edges | {draw(st.sampled_from(non))}))
+    return g
+
+
+@settings(max_examples=25, deadline=None)
+@given(chord_graphs_and_mutants())
+def test_verdicts_survive_relabelling(g):
+    # Under each of the 2n rotations and reflections the verdict kind is the
+    # same, and an accepted assignment, relabelled, passes verify on the
+    # relabelled graph: a reflection swaps each pair's cw and ccw sides.
+    n, v = g.n, find_assignment(g)
+    for shift, flip in itertools.product(range(n), (False, True)):
+        image = [(i + shift) % n for i in range(n)]
+        if flip:
+            image = [support.reflect_index(n, i) for i in image]
+        h = validate_graph(n, [[image[i], image[j]] for i, j in g.edges])
+        w = find_assignment(h)
+        assert type(w.certificate) is type(v.certificate), (shift, flip)
+        if v.accepted:
+            a = {(image[i], image[j]): image[b] for (i, j), b in v.assignment.items()}
+            assert verify(h, a).ok, (shift, flip)
 
 
 def test_search_depth_uses_no_recursion():
