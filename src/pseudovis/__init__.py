@@ -7,12 +7,7 @@ polygon oracle that generates ground-truth instances for every property
 the recognizer relies on.
 """
 
-from .blockers import (
-    CandidateSet,
-    all_candidates,
-    assignment_from_json,
-    assignment_to_json,
-)
+from .blockers import CandidateSet, all_candidates
 from .conditions import (
     SeparablePair,
     Violation,
@@ -43,8 +38,6 @@ from .geometry import (
     check_gap_witness_cases,
     designated_blocker_geo,
     geometric_blockers,
-    polygon_from_json,
-    polygon_to_json,
     random_simple_polygon,
     sees_edge,
     sees_vertex,
@@ -52,20 +45,13 @@ from .geometry import (
     ve_graph_geo,
     visibility_graph,
 )
-from .graph_core import (
-    VisGraph,
-    graph_from_json,
-    graph_to_json,
-    invisible_pairs,
-    validate_graph,
-)
+from .graph_core import VisGraph, invisible_pairs, validate_graph
 from .recognizer import (
     EmptyCandidateSet,
     ExhaustedSearch,
     Verdict,
     VerifyReport,
     find_assignment,
-    verdict_to_json,
     verify,
 )
 from .vertex_edge import (
@@ -75,7 +61,6 @@ from .vertex_edge import (
     check_ve_characterization,
     is_articulation,
     seen_edge_gaps,
-    ve_to_json,
 )
 
 __version__ = "0.1.0"

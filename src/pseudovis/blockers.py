@@ -10,16 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import MalformedInput
 from .graph_core import (
     Pair,
     VisGraph,
     arc_mask,
     bits_from,
-    canonical_json,
     derived_table,
-    json_field,
-    parse_json,
     rows,
 )
 
@@ -101,7 +97,7 @@ class CandidateTable:
         return None
 
     def admits(self, c: int, k: int) -> bool:
-        return 0 <= k < self.n and self.mask[k] >> c & 1 == 1
+        return type(k) is int and 0 <= k < self.n and self.mask[k] >> c & 1 == 1
 
 
 @derived_table
@@ -157,22 +153,3 @@ def all_candidates(g: VisGraph) -> dict[Pair, CandidateSet]:
     graph's shared table: callers must not mutate it."""
     t = candidate_table(g)
     return {divmod(c, g.n): CandidateSet(t.cw[c], t.ccw[c]) for c in bits_from(t.inv, 0)}
-
-
-def assignment_to_dict(a: Assignment) -> dict:
-    rows = [{"from": i, "to": j, "blocker": b} for (i, j), b in sorted(a.items())]
-    return {"blockers": rows}
-
-
-def assignment_to_json(a: Assignment) -> str:
-    return canonical_json(assignment_to_dict(a))
-
-
-def assignment_from_json(text: str) -> Assignment:
-    out: Assignment = {}
-    for row in json_field(parse_json(text), "blockers", list):
-        i, j, k = (json_field(row, key, int) for key in ("from", "to", "blocker"))
-        if (i, j) in out:
-            raise MalformedInput(f"pair ({i},{j}) is listed more than once")
-        out[(i, j)] = k
-    return out

@@ -1,5 +1,5 @@
 """Command-line surface: recognition, oracle extraction, generation,
-verification, corpus runs and exports.
+verification, corpus runs and exports, and every file format they use.
 
 Exit codes: 0 accepted/pass, 1 rejected/fail, 2 input error, 3 budget
 exceeded.  All output is canonical JSON (sorted keys, sorted lists), so
@@ -9,25 +9,134 @@ identical invocations are byte-identical.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from dataclasses import asdict
 from pathlib import Path
 
 from . import geometry, recognizer
-from .blockers import assignment_from_json, assignment_to_json
-from .conditions import check_conditions, violation_to_dict
+from .blockers import Assignment
+from .conditions import Violation, check_conditions
 from .errors import (
     GenerationBudgetExceeded,
+    MalformedInput,
     PseudovisError,
     SearchBudgetExceeded,
 )
-from .graph_core import MAX_VERTICES, canonical_json, graph_from_json, graph_to_json
-from .vertex_edge import build_ve, check_ve_characterization, ve_to_json
+from .graph_core import MAX_VERTICES, VisGraph, bits_from, validate_graph
+from .recognizer import EmptyCandidateSet, ExhaustedSearch, Verdict
+from .vertex_edge import VEGraph, build_ve, check_ve_characterization
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
+
+
+# File formats: the only code in the package that reads or writes JSON.
+
+
+def canonical_json(obj) -> str:
+    """The one JSON text form of every document the package writes:
+    sorted keys, two-space indent, trailing newline."""
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def parse_json(text: str):
+    """json.loads, reporting nesting too deep to parse as MalformedInput."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise MalformedInput("JSON nested too deeply") from None
+
+
+def json_field(obj, key: str, kind: type):
+    """obj[key] of a parsed JSON object, which must be of exactly the
+    given type (so an int field rejects true and 1.5)."""
+    if type(obj) is not dict:
+        raise MalformedInput(f"expected a JSON object, got {obj!r:.60}")
+    if key not in obj:
+        raise MalformedInput(f"missing field {key!r}")
+    value = obj[key]
+    if type(value) is not kind:
+        raise MalformedInput(f"{key!r} must be {kind.__name__}, got {value!r:.60}")
+    return value
+
+
+def json_ints(row, count: int, what: str) -> tuple[int, ...]:
+    """A parsed JSON list of exactly count integers, as a tuple."""
+    if type(row) is not list or len(row) != count or any(type(x) is not int for x in row):
+        raise MalformedInput(f"{what} must be {count} integers, got {row!r:.60}")
+    return tuple(row)
+
+
+def graph_to_json(g: VisGraph) -> str:
+    return canonical_json({"n": g.n, "edges": sorted(list(e) for e in g.edges)})
+
+
+def graph_from_json(text: str) -> VisGraph:
+    obj = parse_json(text)
+    edges = [json_ints(e, 2, "edge") for e in json_field(obj, "edges", list)]
+    return validate_graph(json_field(obj, "n", int), edges)
+
+
+def assignment_to_dict(a: Assignment) -> dict:
+    rows = [{"from": i, "to": j, "blocker": b} for (i, j), b in sorted(a.items())]
+    return {"blockers": rows}
+
+
+def assignment_to_json(a: Assignment) -> str:
+    return canonical_json(assignment_to_dict(a))
+
+
+def assignment_from_json(text: str) -> Assignment:
+    out: Assignment = {}
+    for row in json_field(parse_json(text), "blockers", list):
+        i, j, k = (json_field(row, key, int) for key in ("from", "to", "blocker"))
+        if (i, j) in out:
+            raise MalformedInput(f"pair ({i},{j}) is listed more than once")
+        out[(i, j)] = k
+    return out
+
+
+def violation_to_dict(v: Violation) -> dict:
+    return {
+        "condition": v.condition,
+        "pairs": [list(p) for p in v.pairs],
+        "vertices": list(v.vertices),
+        "narrative": v.narrative,
+    }
+
+
+def verdict_to_dict(v: Verdict) -> dict:
+    if v.accepted:
+        return {"verdict": "accepted", "assignment": assignment_to_dict(v.assignment or {})}
+    if isinstance(v.certificate, EmptyCandidateSet):
+        certificate = {"kind": "empty_candidate_set", "pair": list(v.certificate.pair)}
+    else:
+        assert isinstance(v.certificate, ExhaustedSearch)
+        conflicts = [{"depth": d, "violation": violation_to_dict(viol)}
+                     for d, viol in v.certificate.conflicts]
+        certificate = {"kind": "exhausted_search", "conflicts": conflicts}
+    return {"verdict": "rejected", "certificate": certificate}
+
+
+def verdict_to_json(v: Verdict) -> str:
+    return canonical_json(verdict_to_dict(v))
+
+
+def ve_to_json(ve: VEGraph) -> str:
+    entries = [[i, m] for i in range(ve.n) for m in bits_from(ve.rows[i], 0)]
+    return canonical_json({"n": ve.n, "sees": entries})
+
+
+def polygon_to_json(p: geometry.Polygon) -> str:
+    return canonical_json({"vertices": [list(v) for v in p.vertices]})
+
+
+def polygon_from_json(text: str) -> geometry.Polygon:
+    vertices = json_field(parse_json(text), "vertices", list)
+    return geometry.validate_polygon([json_ints(v, 2, "vertex") for v in vertices])
 
 
 def _read(path: str) -> str:
@@ -39,13 +148,12 @@ def cmd_recognize(args) -> int:
         raise ValueError("recognize: need --budget >= 1")
     g = graph_from_json(_read(args.graph))
     verdict = recognizer.find_assignment(g, node_budget=args.budget)
-    extra = None
+    obj = verdict_to_dict(verdict)
     if verdict.accepted:
-        ve = build_ve(g, verdict.assignment or {})
-        failures = check_ve_characterization(ve, g)
-        extra = {"ve_check": {"ok": not failures, "failures": [asdict(f) for f in failures]}}
-    sys.stdout.write(recognizer.verdict_to_json(verdict, extra))
-    return EXIT_PASS if extra and extra["ve_check"]["ok"] else EXIT_FAIL
+        failures = check_ve_characterization(build_ve(g, verdict.assignment or {}), g)
+        obj["ve_check"] = {"ok": not failures, "failures": [asdict(f) for f in failures]}
+    sys.stdout.write(canonical_json(obj))
+    return EXIT_PASS if verdict.accepted and obj["ve_check"]["ok"] else EXIT_FAIL
 
 
 def cmd_check(args) -> int:
@@ -67,7 +175,7 @@ def _lemma_report(p: geometry.Polygon) -> dict:
 
 
 def cmd_oracle(args) -> int:
-    p = geometry.polygon_from_json(_read(args.polygon))
+    p = polygon_from_json(_read(args.polygon))
     if args.what == "visgraph":
         sys.stdout.write(graph_to_json(geometry.visibility_graph(p)))
         return EXIT_PASS
@@ -92,7 +200,7 @@ def cmd_gen(args) -> int:
         seed = args.seed + offset
         p = geometry.random_simple_polygon(args.n, seed)
         path = out_dir / f"polygon_n{args.n}_seed{seed}.json"
-        path.write_text(geometry.polygon_to_json(p))
+        path.write_text(polygon_to_json(p))
         sys.stdout.write(f"{path}\n")
     return EXIT_PASS
 

@@ -471,13 +471,3 @@ def first_violation(
     candidates is unused: entries are checked against candidate_table(g)
     alone, so one drawn from anywhere else raises NotACandidate."""
     return next(_violations_iter(g, a), None)
-
-
-def violation_to_dict(v: Violation) -> dict:
-    return {
-        "condition": v.condition,
-        "pairs": [list(p) for p in v.pairs],
-        "vertices": list(v.vertices),
-        "narrative": v.narrative,
-    }
-

@@ -25,11 +25,7 @@ from .graph_core import (
     VisGraph,
     arc_mask,
     bits_from,
-    canonical_json,
     derived_table,
-    json_field,
-    json_ints,
-    parse_json,
     rows,
     strictly_inside,
 )
@@ -75,7 +71,10 @@ def validate_polygon(vertices) -> Polygon:
         raise DegenerateInput(f"more than {MAX_VERTICES} vertices, got {len(vertices)}")
     pts = []
     for v in vertices:
-        x, y = v
+        try:
+            x, y = v
+        except (TypeError, ValueError):
+            raise DegenerateInput(f"vertex must be 2 integers, got {v!r:.60}") from None
         if type(x) is not int or type(y) is not int:
             raise DegenerateInput(f"non-integer coordinate {v!r}")
         pts.append((x, y))
@@ -469,12 +468,3 @@ def random_simple_polygon(n: int, seed: int) -> Polygon:
         f"no valid polygon for n={n} seed={seed} in {GRID_ROUNDS} grids"
         f" of {MAX_ATTEMPTS} attempts"
     )
-
-
-def polygon_to_json(p: Polygon) -> str:
-    return canonical_json({"vertices": [list(v) for v in p.vertices]})
-
-
-def polygon_from_json(text: str) -> Polygon:
-    vertices = json_field(parse_json(text), "vertices", list)
-    return validate_polygon([json_ints(v, 2, "vertex") for v in vertices])

@@ -8,7 +8,6 @@ vertices m and m+1.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import wraps
 from typing import Callable, Iterable
@@ -97,7 +96,10 @@ def validate_graph(n: int, pairs: Iterable[Iterable[int]]) -> VisGraph:
         raise IndexOutOfRange(f"vertex count must be in [3, {MAX_VERTICES}], got {n}")
     edges = set()
     for pair in pairs:
-        i, j = pair
+        try:
+            i, j = pair
+        except (TypeError, ValueError):
+            i = j = None
         if type(i) is not int or type(j) is not int:
             raise MalformedInput(f"pair must be 2 integers, got {pair!r:.60}")
         if not (0 <= i < n and 0 <= j < n):
@@ -131,47 +133,3 @@ def invisible_pairs(g: VisGraph) -> list[Pair]:
         for j in range(g.n)
         if i != j and not g.visible(i, j)
     ]
-
-
-def canonical_json(obj) -> str:
-    """The one JSON text form of every document the package writes:
-    sorted keys, two-space indent, trailing newline."""
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
-
-
-def graph_to_json(g: VisGraph) -> str:
-    return canonical_json({"n": g.n, "edges": sorted(list(e) for e in g.edges)})
-
-
-def parse_json(text: str):
-    """json.loads, reporting nesting too deep to parse as MalformedInput."""
-    try:
-        return json.loads(text)
-    except RecursionError:
-        raise MalformedInput("JSON nested too deeply") from None
-
-
-def json_field(obj, key: str, kind: type):
-    """obj[key] of a parsed JSON object, which must be of exactly the
-    given type (so an int field rejects true and 1.5)."""
-    if type(obj) is not dict:
-        raise MalformedInput(f"expected a JSON object, got {obj!r:.60}")
-    if key not in obj:
-        raise MalformedInput(f"missing field {key!r}")
-    value = obj[key]
-    if type(value) is not kind:
-        raise MalformedInput(f"{key!r} must be {kind.__name__}, got {value!r:.60}")
-    return value
-
-
-def json_ints(row, count: int, what: str) -> tuple[int, ...]:
-    """A parsed JSON list of exactly count integers, as a tuple."""
-    if type(row) is not list or len(row) != count or any(type(x) is not int for x in row):
-        raise MalformedInput(f"{what} must be {count} integers, got {row!r:.60}")
-    return tuple(row)
-
-
-def graph_from_json(text: str) -> VisGraph:
-    obj = parse_json(text)
-    edges = [json_ints(e, 2, "edge") for e in json_field(obj, "edges", list)]
-    return validate_graph(json_field(obj, "n", int), edges)

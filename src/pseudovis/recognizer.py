@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .blockers import Assignment, assignment_to_dict, candidate_table
+from .blockers import Assignment, candidate_table
 from .conditions import (
     EntryIndex,
     Violation,
@@ -30,10 +30,9 @@ from .conditions import (
     check_conditions,
     entry_requirements,
     residual_violations,
-    violation_to_dict,
 )
 from .errors import SearchBudgetExceeded
-from .graph_core import Pair, VisGraph, bits_from, canonical_json
+from .graph_core import Pair, VisGraph, bits_from
 
 DEFAULT_NODE_BUDGET = 1_000_000
 
@@ -189,26 +188,3 @@ def verify(g: VisGraph, a: Assignment) -> VerifyReport:
         return VerifyReport(False, tuple(problems), ())
     violations = check_conditions(g, a)
     return VerifyReport(not violations, (), tuple(violations))
-
-
-def verdict_to_json(v: Verdict, extra: dict | None = None) -> str:
-    obj: dict = {"verdict": "accepted" if v.accepted else "rejected"}
-    if v.accepted:
-        obj["assignment"] = assignment_to_dict(v.assignment or {})
-    elif isinstance(v.certificate, EmptyCandidateSet):
-        obj["certificate"] = {
-            "kind": "empty_candidate_set",
-            "pair": list(v.certificate.pair),
-        }
-    else:
-        assert isinstance(v.certificate, ExhaustedSearch)
-        obj["certificate"] = {
-            "kind": "exhausted_search",
-            "conflicts": [
-                {"depth": d, "violation": violation_to_dict(viol)}
-                for d, viol in v.certificate.conflicts
-            ],
-        }
-    if extra:
-        obj.update(extra)
-    return canonical_json(obj)

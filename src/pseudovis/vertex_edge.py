@@ -17,7 +17,6 @@ from .graph_core import (
     VisGraph,
     arc_mask,
     bits_from,
-    canonical_json,
     strictly_inside,
 )
 
@@ -116,9 +115,3 @@ def check_ve_characterization(
             if near == far:
                 failures.append(CharacterizationFailure(k, i, j))
     return failures
-
-
-def ve_to_json(ve: VEGraph) -> str:
-    entries = [[i, m] for i in range(ve.n) for m in bits_from(ve.rows[i], 0)]
-    return canonical_json({"n": ve.n, "sees": entries})
-

@@ -6,8 +6,6 @@ from hypothesis import given, strategies as st
 
 from pseudovis import (
     all_candidates,
-    assignment_from_json,
-    assignment_to_json,
     geometric_blockers,
     invisible_pairs,
     random_simple_polygon,
@@ -15,6 +13,7 @@ from pseudovis import (
     visibility_graph,
 )
 from pseudovis.blockers import candidate_table, entry_arcs, first_seen
+from pseudovis.cli import assignment_from_json, assignment_to_json
 from pseudovis.graph_core import arc_mask
 from support import (
     arc_walk,

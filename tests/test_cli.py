@@ -12,10 +12,7 @@ from hypothesis import given, settings, strategies as st
 from pseudovis import (
     DegenerateInput,
     IndexOutOfRange,
-    assignment_to_json,
     geometric_blockers,
-    graph_to_json,
-    polygon_to_json,
     random_simple_polygon,
     validate_polygon,
     visibility_graph,
@@ -23,7 +20,14 @@ from pseudovis import (
 from pseudovis import all_candidates, cli, geometry, recognizer, separable_pairs, validate_graph
 from pseudovis.blockers import candidate_table
 from pseudovis.conditions import nc4_partners
-from pseudovis.cli import CORPUS_CHECKS, check_polygon, main
+from pseudovis.cli import (
+    CORPUS_CHECKS,
+    assignment_to_json,
+    check_polygon,
+    graph_to_json,
+    main,
+    polygon_to_json,
+)
 from pseudovis.geometry import _designated_blockers, _exit_table
 from pseudovis.graph_core import MAX_VERTICES, rows
 from pseudovis.vertex_edge import CharacterizationFailure

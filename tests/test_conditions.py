@@ -30,9 +30,9 @@ from pseudovis.conditions import (
     entry_requirements,
     first_violation,
     residual_violations,
-    violation_to_dict,
 )
-from pseudovis.graph_core import bits_from, canonical_json
+from pseudovis.cli import canonical_json, violation_to_dict
+from pseudovis.graph_core import bits_from
 from support import (
     cycle_graph,
     entry_index,
@@ -103,8 +103,11 @@ def test_not_a_candidate(dent5_graph):
     ((2, 5), 8, NotACandidate, "p8 is not a candidate blocker for (2,5)"),
     ((2.0, 5), 4, UnknownPair, "(2.0,5) is not an invisible pair"),  # no vertex 2.0
     ((False, 2), 1, UnknownPair, "(False,2) is not an invisible pair"),  # not (0, 2)
+    ((0, 2), True, NotACandidate, "pTrue is not a candidate blocker for (0,2)"),  # not p1
+    ((2, 5), 4.0, NotACandidate, "p4.0 is not a candidate blocker for (2,5)"),  # not p4
 ], ids=["alias", "alias-negative-target", "alias-negative-viewer", "negative-code",
-        "blocker-minus-1", "blocker-n", "float-end", "bool-end"])
+        "blocker-minus-1", "blocker-n", "float-end", "bool-end", "bool-blocker",
+        "float-blocker"])
 def test_out_of_range_entries_are_rejected(pair, k, error, problem):
     """Entries outside the graph are unknown pairs or not candidates, to
     the checker and to verify alike, never a code of another pair."""

@@ -14,7 +14,6 @@ from pseudovis import (
     Polygon,
     VEGraph,
     VisGraph,
-    assignment_to_json,
     build_ve,
     check_blocker_uniqueness,
     check_edge_vertex_visibility,
@@ -23,20 +22,23 @@ from pseudovis import (
     designated_blocker_geo,
     find_assignment,
     geometric_blockers,
-    graph_to_json,
     invisible_pairs,
-    polygon_from_json,
-    polygon_to_json,
     random_simple_polygon,
     sees_edge,
     sees_vertex,
     separable_pairs,
     validate_polygon,
     ve_graph_geo,
-    ve_to_json,
     visibility_graph,
 )
 from pseudovis import geometry
+from pseudovis.cli import (
+    assignment_to_json,
+    graph_to_json,
+    polygon_from_json,
+    polygon_to_json,
+    ve_to_json,
+)
 from pseudovis.geometry import _exit_table
 from pseudovis.graph_core import MAX_VERTICES
 from support import (
@@ -112,6 +114,11 @@ def test_non_integer_rejected():
     # True == 1, but the polygon's JSON would hold true and not read back
     with pytest.raises(DegenerateInput, match=r"^non-integer coordinate \(True, 0\)$"):
         validate_polygon([(True, 0), (4, 0), (0, 3)])
+    # vertices that are no pair
+    with pytest.raises(DegenerateInput, match="^vertex must be 2 integers, got 1$"):
+        validate_polygon([1, 2, 3])
+    with pytest.raises(DegenerateInput, match=r"^vertex must be 2 integers, got \(0, 0, 1\)$"):
+        validate_polygon([(0, 0, 1), (1, 0, 0), (0, 1, 0)])
 
 
 def test_visibility_graph_fixtures(unit_square, dent5_poly, dent5_graph):

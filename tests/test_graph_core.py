@@ -11,13 +11,12 @@ from pseudovis import (
     SelfLoop,
     all_candidates,
     geometric_blockers,
-    graph_from_json,
-    graph_to_json,
     invisible_pairs,
     separable_pairs,
     validate_graph,
     visibility_graph,
 )
+from pseudovis.cli import graph_from_json, graph_to_json
 from pseudovis.geometry import _designated_blockers
 from pseudovis.graph_core import arc_mask, rows, strictly_inside
 from support import (
@@ -88,6 +87,8 @@ def test_index_out_of_range():
         (4, [[0, True], [1, 2], [2, 3], [3, 0]]),  # graph_to_json would write true
         (4.0, [[0, 1], [1, 2], [2, 3], [3, 0]]),  # range would fail
         (True, [[0, 1], [1, 0]]),
+        (5, [1, 2]),  # items that are no pair
+        (4, [[0, 1, 2], [1, 2], [2, 3], [3, 0]]),
     ],
 )
 def test_non_integer_graph_is_malformed(n, pairs):

@@ -17,11 +17,11 @@ from pseudovis import (
     random_simple_polygon,
     recognizer,
     validate_graph,
-    verdict_to_json,
     verify,
     visibility_graph,
 )
 from pseudovis.blockers import candidate_table
+from pseudovis.cli import verdict_to_json
 from pseudovis.conditions import EntryIndex, Violation
 from pseudovis.graph_core import bits_from
 import support

@@ -1,5 +1,6 @@
 import ast
 import itertools
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -134,6 +135,28 @@ def test_oracle_layer_imports_no_search(module):
     assert not leaves & {"recognizer", "conditions"}, sorted(imported)
 
 
+JSON_HELPERS = {"json", "canonical_json", "parse_json", "json_field", "json_ints"}
+FORMAT_SUFFIXES = ("_to_json", "_from_json", "_to_dict")
+SOURCES = sorted(Path(__file__).resolve().parents[1].glob("src/pseudovis/*.py"))
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "cli.py"], ids=lambda p: p.stem)
+def test_only_the_cli_reads_or_writes_json(path):
+    """Every file format lives in cli.py: no other module imports json, a
+    JSON helper or a reader or writer, nor defines a reader or writer."""
+    imported, defined = set(), set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            imported.add((node.module or "").split(".")[0])
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            defined.add(node.name)
+    assert not {x for x in imported if x in JSON_HELPERS or x.endswith(FORMAT_SUFFIXES)}
+    assert not {x for x in defined if x.endswith(FORMAT_SUFFIXES)}
+
+
 def test_is_articulation_examples(dent5_graph, k5):
     assert is_articulation(dent5_graph, 1, 4, 2)
     with pytest.raises(VertexOutsideInterval):
@@ -226,6 +249,31 @@ def test_characterization_is_necessary_not_sufficient():
     violations = [check_conditions(g, a) for a in passing]
     assert all(violations)
     assert violations[0][0].narrative == "NC1a: p3 on (2,0) requires p3 on (2,4), found p1"
+
+
+@pytest.mark.parametrize("n, accepted, rejected, rejected_passing", [
+    (5, 16, 16, 6),
+    (6, 134, 378, 37),
+])
+def test_characterization_census(n, accepted, rejected, rejected_passing):
+    """Every graph on the n-cycle: does some total candidate assignment pass
+    the vertex-edge check?  Every accepted graph has one, as the paper's
+    reduction says, and so do some rejected graphs."""
+    chords = [(i, j) for i in range(n) for j in range(i + 2, n) if (i, j) != (0, n - 1)]
+    tally = Counter()
+    for picked in itertools.product((False, True), repeat=len(chords)):
+        g = cycle_graph(n, list(itertools.compress(chords, picked)))
+        cand, pairs = all_candidates(g), invisible_pairs(g)
+        passing = any(
+            not check_ve_characterization(build_ve(g, dict(zip(pairs, values))), g)
+            for values in itertools.product(*(cand[p].members() for p in pairs))
+        )
+        tally[find_assignment(g).accepted, passing] += 1
+    assert tally == {
+        (True, True): accepted,
+        (False, True): rejected_passing,
+        (False, False): rejected - rejected_passing,
+    }
 
 
 def test_row_missing_an_incident_edge_is_malformed_input():
