@@ -96,7 +96,7 @@ def assignment_from_json(text: str) -> Assignment:
         if (i, j) in out:
             raise MalformedInput(f"pair ({i},{j}) is listed more than once")
         out[(i, j)] = k
-    return out
+    return dict(sorted(out.items()))  # by pair: verify lists problems in a's order
 
 
 def violation_to_dict(v: Violation) -> dict:

@@ -20,15 +20,8 @@ from itertools import islice
 from typing import Iterator, NamedTuple
 
 from .blockers import Assignment, candidate_table, entry_arcs
-from .errors import NotACandidate, UnknownPair
-from .graph_core import (
-    Pair,
-    VisGraph,
-    arc_mask,
-    bits_from,
-    derived_table,
-    rows,
-)
+from .errors import NotACandidate, PseudovisError, UnknownPair
+from .graph_core import Pair, VisGraph, arc_mask, bits_from, derived_table, rows
 
 
 @dataclass(frozen=True)
@@ -91,10 +84,10 @@ def _must_be_invisible(
 
 
 class EntryIndex:
-    """The search state over a graph: an assignment a from entry codes
-    v * n + t to blockers, kept in the order its entries were pushed (so
-    a is also the trail), and bitmask tables over it, kept in step by
-    assign and undo:
+    """The state of the search and the checker over a graph: a maps entry
+    codes v * n + t to blockers in push order (so a is also the search's
+    trail), and bitmask tables over a are kept in step by push (all that
+    load_assignment calls), assign (push, then the readers) and undo:
 
     - by_viewer[v][b]: bit t is set iff (v, t) -> b;
     - by_target[t][b]: bit v is set iff (v, t) -> b;
@@ -115,7 +108,7 @@ class EntryIndex:
         n, t = g.n, candidate_table(g)
         self.n, self.rows, self.mask, self.cw_mask = n, rows(g), t.mask, t.cw_mask
         self.partners = nc4_partners(g)
-        self.column = sum(1 << v * n for v in range(n))
+        self.column = ((1 << n * n) - 1) // ((1 << n) - 1)
         self.a: dict[int, int] = {}
         self.by_viewer = [[0] * n for _ in range(n)]
         self.by_target = [[0] * n for _ in range(n)]
@@ -123,21 +116,25 @@ class EntryIndex:
         self.by_blocker = [0] * n
         self.assigned = 0
 
-    def assign(self, c: int, b: int) -> int:
-        """Push the entry c -> b, code c unassigned, and return the codes
-        of its readers, the only entries whose requirements read it: for
-        c = v * n + t, NC2 of (i, j) -> t with v on its near arc (i on the
-        walk t + 1 .. v if t is i's cw candidate, else on v .. t - 1), NC3
-        case 2 of (i, v) -> t and the NC3 reverse scan of (b, .) -> v."""
-        n = self.n
-        v, t = divmod(c, n)
+    def push(self, c: int, b: int) -> None:
+        """Record the entry c -> b, code c unassigned, in a and the masks."""
+        v, t = divmod(c, self.n)
         self.a[c] = b
         self.by_viewer[v][b] |= 1 << t
         self.by_target[t][b] |= 1 << v
         self.viewers[t] |= 1 << v
-        bit = 1 << c
-        self.by_blocker[b] |= bit
-        self.assigned |= bit
+        self.by_blocker[b] |= 1 << c
+        self.assigned |= 1 << c
+
+    def assign(self, c: int, b: int) -> int:
+        """push(c, b) and return the codes of its readers, the entries
+        whose requirements read it: for c = v * n + t, NC2 of (i, j) -> t
+        with v on its near arc (i on t + 1 .. v if t is i's cw candidate,
+        else on v .. t - 1), NC3 case 2 of (i, v) -> t and NC3's reverse
+        scan of (b, .) -> v.  The checker's loader only pushes."""
+        self.push(c, b)
+        n = self.n
+        v, t = divmod(c, n)
         readers, mine = self.by_viewer[b][v] << b * n, self.by_blocker[t]
         if mine:  # the codes of the viewers on the walks t + 1 .. v and v .. t - 1
             nn, cw = n * n, self.cw_mask[t]
@@ -160,9 +157,7 @@ class EntryIndex:
             self.assigned ^= bit
 
 
-def entry_requirements(
-    idx: EntryIndex, c: int, k: int
-) -> Iterator[_Requirement | Violation]:
+def entry_requirements(idx: EntryIndex, c: int, k: int) -> Iterator[_Requirement | Violation]:
     """Everything a single entry (c -> k) implies under NC1-NC3.
 
     Yields _Requirement records for forced assignments that are still
@@ -323,22 +318,33 @@ def _pinch_certified(idx: EntryIndex, i: int, j: int, s: int, t: int, m: int) ->
     )
 
 
-def _violations_iter(g: VisGraph, a: Assignment) -> Iterator[Violation]:
-    t, idx = candidate_table(g), EntryIndex(g)
+def load_assignment(g: VisGraph, a: Assignment) -> tuple[EntryIndex, int, list[PseudovisError]]:
+    """The one reader of a, for verify and the checker: an EntryIndex of
+    its valid entries pushed in code order, the code mask of the invisible
+    pairs it lists and the error of each bad entry, in insertion order."""
+    t, idx, listed, valid, bad = candidate_table(g), EntryIndex(g), 0, {}, []
     for pair, k in a.items():
-        c = t.code(pair)
-        if c is None:
-            raise UnknownPair(f"{pair} is not an invisible pair")
-        if not t.admits(c, k):
-            raise NotACandidate(f"p{k} is not a candidate for {pair}")
-        idx.assign(c, k)
+        is_pair = type(pair) is tuple and len(pair) == 2  # "ab" would print as (a,b)
+        c = t.code(pair) if is_pair else None
+        listed |= 0 if c is None else 1 << c
+        if c is not None and t.admits(c, k):
+            valid[c] = k
+            continue
+        text = "({},{})".format(*pair) if is_pair else repr(pair)
+        bad.append(UnknownPair(f"{text} is not an invisible pair") if c is None
+                   else NotACandidate(f"p{k} is not a candidate blocker for {text}"))
+    for c in sorted(valid):
+        idx.push(c, valid[c])
+    return idx, listed, bad
 
-    for c, k in sorted(idx.a.items()):
+
+def _violations_iter(idx: EntryIndex) -> Iterator[Violation]:
+    for c, k in idx.a.items():  # ascending codes, as load_assignment pushes them
         for req in entry_requirements(idx, c, k):
             if isinstance(req, Violation):
                 yield req
                 continue
-            actual = a.get(req.pair)
+            actual = idx.a.get(req.pair[0] * idx.n + req.pair[1])
             if actual is not None:
                 yield _mismatch(req, actual)
     yield from residual_violations(idx, 0)
@@ -450,24 +456,29 @@ def _nc5_violations(idx: EntryIndex) -> Iterator[Violation]:
 def check_conditions(g: VisGraph, a: Assignment) -> list[Violation]:
     """All NC1-NC5 violations present in a (possibly partial) assignment.
 
-    Empty result means the assignment is consistent so far.  Entries not
-    drawn from the candidate table raise, they are never reported as
-    violations.
+    Empty result means the assignment is consistent so far.  a is read by
+    load_assignment, in code order; its first bad entry, in a's order,
+    raises, so an entry off the candidate table is never a violation.
     """
-    seen = set()
-    out = []
-    for v in _violations_iter(g, a):
-        key = (v.condition, v.pairs, v.vertices)
-        if key not in seen:
-            seen.add(key)
-            out.append(v)
-    return sorted(out, key=lambda v: (v.condition, v.pairs, v.vertices))
+    idx, _, bad = load_assignment(g, a)
+    if bad:
+        raise bad[0]
+    return index_violations(idx)
 
 
-def first_violation(
-    g: VisGraph, a: Assignment, candidates: object = None
-) -> Violation | None:
-    """Cheapest witness that the assignment is inconsistent, if any.
-    candidates is unused: entries are checked against candidate_table(g)
-    alone, so one drawn from anywhere else raises NotACandidate."""
-    return next(_violations_iter(g, a), None)
+def index_violations(idx: EntryIndex) -> list[Violation]:
+    """check_conditions on a loaded index, as verify runs it."""
+    first: dict[tuple, Violation] = {}
+    for v in _violations_iter(idx):
+        first.setdefault((v.condition, v.pairs, v.vertices), v)
+    return [first[key] for key in sorted(first)]
+
+
+def first_violation(g: VisGraph, a: Assignment, candidates: object = None) -> Violation | None:
+    """Cheapest witness that the assignment is inconsistent, if any.  a is
+    read as by check_conditions; candidates is unused, so an entry drawn
+    from it and not from candidate_table(g) raises NotACandidate."""
+    idx, _, bad = load_assignment(g, a)
+    if bad:
+        raise bad[0]
+    return next(_violations_iter(idx), None)

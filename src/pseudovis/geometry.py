@@ -67,6 +67,8 @@ def signed_area2(vertices: tuple[Point, ...]) -> int:
 
 def validate_polygon(vertices) -> Polygon:
     """Check all polygon invariants and return the validated value."""
+    if not isinstance(vertices, (list, tuple)):
+        raise DegenerateInput(f"vertices must be a list or tuple, got {vertices!r:.60}")
     if len(vertices) > MAX_VERTICES:
         raise DegenerateInput(f"more than {MAX_VERTICES} vertices, got {len(vertices)}")
     pts = []

@@ -94,6 +94,8 @@ def validate_graph(n: int, pairs: Iterable[Iterable[int]]) -> VisGraph:
         raise MalformedInput(f"vertex count must be an integer, got {n!r:.60}")
     if not 3 <= n <= MAX_VERTICES:
         raise IndexOutOfRange(f"vertex count must be in [3, {MAX_VERTICES}], got {n}")
+    if not isinstance(pairs, Iterable):
+        raise MalformedInput(f"pairs must be an iterable of 2 integers each, got {pairs!r:.60}")
     edges = set()
     for pair in pairs:
         try:

@@ -27,8 +27,9 @@ from .conditions import (
     Violation,
     _mismatch,
     _nc5_violations,
-    check_conditions,
     entry_requirements,
+    index_violations,
+    load_assignment,
     residual_violations,
 )
 from .errors import SearchBudgetExceeded
@@ -163,7 +164,7 @@ def find_assignment(
         else:
             return Verdict(False, certificate=ExhaustedSearch(tuple(conflicts)))
 
-    found = {divmod(c, n): b for c, b in idx.a.items()}
+    found = {divmod(c, n): idx.a[c] for c in sorted(idx.a)}  # in code order
     report = verify(g, found)
     if not report.ok:  # propagation and the checker disagree: a bug
         raise AssertionError(f"accepted assignment failed verification: {report}")
@@ -171,20 +172,13 @@ def find_assignment(
 
 
 def verify(g: VisGraph, a: Assignment) -> VerifyReport:
-    """True iff the assignment is total, candidate-respecting and NC-clean."""
-    t = candidate_table(g)
-    problems, listed = [], 0  # listed: the codes of the invisible pairs in a
-    for (i, j), k in sorted(a.items()):
-        c = t.code((i, j))
-        if c is None:
-            problems.append(f"({i},{j}) is not an invisible pair")
-            continue
-        listed |= 1 << c
-        if not t.admits(c, k):
-            problems.append(f"p{k} is not a candidate blocker for ({i},{j})")
-    for c in bits_from(t.inv & ~listed, 0):
-        problems.append("({},{}) is unassigned".format(*divmod(c, g.n)))
-    if problems:
-        return VerifyReport(False, tuple(problems), ())
-    violations = check_conditions(g, a)
-    return VerifyReport(not violations, (), tuple(violations))
+    """True iff the assignment is total, candidate-respecting and NC-clean.
+    a is read once, by load_assignment: the problems are its bad entries in
+    insertion order, then its unassigned pairs; with none, the NC checks
+    run on the loader's index."""
+    idx, listed, bad = load_assignment(g, a)
+    unassigned = ("({},{}) is unassigned".format(*divmod(c, g.n))
+                  for c in bits_from(candidate_table(g).inv & ~listed, 0))
+    problems = (*map(str, bad), *unassigned)
+    violations = () if problems else tuple(index_violations(idx))
+    return VerifyReport(not (problems or violations), problems, violations)

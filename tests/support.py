@@ -57,7 +57,7 @@ def entry_index(g: VisGraph, a: dict) -> EntryIndex:
     order."""
     idx = EntryIndex(g)
     for (v, t), b in a.items():
-        idx.assign(v * g.n + t, b)
+        idx.push(v * g.n + t, b)
     return idx
 
 

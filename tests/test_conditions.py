@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -22,6 +23,7 @@ from pseudovis import (
     verify,
     visibility_graph,
 )
+from pseudovis.blockers import CandidateTable
 from pseudovis.conditions import (
     EntryIndex,
     _nc4,
@@ -93,35 +95,44 @@ def test_not_a_candidate(dent5_graph):
         check_conditions(dent5_graph, {(1, 3): 4})
 
 
-@pytest.mark.parametrize("pair, k, error, problem", [
+@pytest.mark.parametrize("a, error, problems", [
     # at n = 8 the code 1 * 8 + 13 is that of the invisible pair (2, 5)
-    ((1, 13), 4, UnknownPair, "(1,13) is not an invisible pair"),
-    ((3, -2), 4, UnknownPair, "(3,-2) is not an invisible pair"),  # code of (2, 6)
-    ((-1, 29), 4, UnknownPair, "(-1,29) is not an invisible pair"),  # code of (2, 5)
-    ((-1, 3), 4, UnknownPair, "(-1,3) is not an invisible pair"),  # a negative code
-    ((2, 5), -1, NotACandidate, "p-1 is not a candidate blocker for (2,5)"),
-    ((2, 5), 8, NotACandidate, "p8 is not a candidate blocker for (2,5)"),
-    ((2.0, 5), 4, UnknownPair, "(2.0,5) is not an invisible pair"),  # no vertex 2.0
-    ((False, 2), 1, UnknownPair, "(False,2) is not an invisible pair"),  # not (0, 2)
-    ((0, 2), True, NotACandidate, "pTrue is not a candidate blocker for (0,2)"),  # not p1
-    ((2, 5), 4.0, NotACandidate, "p4.0 is not a candidate blocker for (2,5)"),  # not p4
+    ({(1, 13): 4}, UnknownPair, ["(1,13) is not an invisible pair"]),
+    ({(3, -2): 4}, UnknownPair, ["(3,-2) is not an invisible pair"]),  # code of (2, 6)
+    ({(-1, 29): 4}, UnknownPair, ["(-1,29) is not an invisible pair"]),  # code of (2, 5)
+    ({(-1, 3): 4}, UnknownPair, ["(-1,3) is not an invisible pair"]),  # a negative code
+    ({(2, 5): -1}, NotACandidate, ["p-1 is not a candidate blocker for (2,5)"]),
+    ({(2, 5): 8}, NotACandidate, ["p8 is not a candidate blocker for (2,5)"]),
+    ({(2.0, 5): 4}, UnknownPair, ["(2.0,5) is not an invisible pair"]),  # no vertex 2.0
+    ({(False, 2): 1}, UnknownPair, ["(False,2) is not an invisible pair"]),  # not (0, 2)
+    ({(0, 2): True}, NotACandidate, ["pTrue is not a candidate blocker for (0,2)"]),  # not p1
+    ({(2, 5): 4.0}, NotACandidate, ["p4.0 is not a candidate blocker for (2,5)"]),  # not p4
+    # keys that are no pair of ints
+    ({(1, 2, 3): 4}, UnknownPair, ["(1, 2, 3) is not an invisible pair"]),
+    ({5: 4}, UnknownPair, ["5 is not an invisible pair"]),
+    ({"ab": 4}, UnknownPair, ["'ab' is not an invisible pair"]),  # not (a, b)
+    ({(2, 5): 4, "x": 1}, UnknownPair, ["'x' is not an invisible pair"]),
+    # two bad entries: insertion order, the checker raising the first
+    ({(2, 5): 8, (1, 13): 4}, NotACandidate,
+     ["p8 is not a candidate blocker for (2,5)", "(1,13) is not an invisible pair"]),
 ], ids=["alias", "alias-negative-target", "alias-negative-viewer", "negative-code",
         "blocker-minus-1", "blocker-n", "float-end", "bool-end", "bool-blocker",
-        "float-blocker"])
-def test_out_of_range_entries_are_rejected(pair, k, error, problem):
+        "float-blocker", "triple", "int-key", "str-key", "mixed-keys", "two-bad"])
+def test_out_of_range_entries_are_rejected(a, error, problems):
     """Entries outside the graph are unknown pairs or not candidates, to
-    the checker and to verify alike, never a code of another pair."""
+    the checker and to verify alike, in the same words, never a code of
+    another pair or a bare TypeError."""
     g = visibility_graph(random_simple_polygon(8, 1))
     assert all_candidates(g)[(2, 5)].members() == (4,)
-    a = {pair: k}
-    with pytest.raises(error):
+    with pytest.raises(error, match=f"^{re.escape(problems[0])}$"):
         check_conditions(g, a)
-    with pytest.raises(error):
+    with pytest.raises(error, match=f"^{re.escape(problems[0])}$"):
         first_violation(g, a)
     # (2, 5) == (2.0, 5) and (0, 2) == (False, 2), so match pairs as printed
+    listed = {"({},{})".format(*key) for key in a if type(key) is tuple and len(key) == 2}
     unassigned = [f"({i},{j}) is unassigned" for i, j in invisible_pairs(g)
-                  if f"({i},{j})" != "({},{})".format(*pair)]
-    assert verify(g, a) == VerifyReport(False, (problem, *unassigned), ())
+                  if f"({i},{j})" not in listed]
+    assert verify(g, a) == VerifyReport(False, (*problems, *unassigned), ())
 
 
 def test_first_violation_checks_the_candidate_table_only():
@@ -231,6 +242,45 @@ def test_assign_returns_exactly_the_entries_that_read_it(g, data):
     pair, b = a.popitem()
     readers = entry_index(g, a).assign(pair[0] * g.n + pair[1], b)
     assert set(bits_from(readers, 0)) == naive_readers(g, a, pair, b)
+
+
+@settings(max_examples=200)
+@given(st.one_of(chord_graphs(), polygon_graphs(4, 12)), st.data())
+def test_push_builds_the_index_that_assign_builds(g, data):
+    # The checker's loader pushes, the search assigns: the masks agree.
+    cand = all_candidates(g)
+    assignable = [p for p, cs in cand.items() if not cs.is_empty]
+    pairs = data.draw(st.lists(st.sampled_from(assignable), unique=True)) if assignable else []
+    pushed, assigned = EntryIndex(g), EntryIndex(g)
+    for v, t in pairs:
+        b = data.draw(st.sampled_from(cand[(v, t)].members()))
+        pushed.push(v * g.n + t, b)
+        assigned.assign(v * g.n + t, b)
+    for name in EntryIndex.__slots__:
+        assert getattr(pushed, name) == getattr(assigned, name), name
+    assert list(pushed.a.items()) == list(assigned.a.items())
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(chord_graphs(), polygon_graphs(4, 12)), st.data())
+def test_verify_reports_the_checkers_violations_on_total_assignments(g, data):
+    cand = all_candidates(g)
+    if any(cs.is_empty for cs in cand.values()):
+        return  # no total candidate-drawn assignment
+    pairs = data.draw(st.permutations(sorted(cand)))
+    a = {p: data.draw(st.sampled_from(cand[p].members())) for p in pairs}
+    v = check_conditions(g, a)
+    assert verify(g, a) == VerifyReport(not v, (), tuple(v))
+
+
+def test_verify_reads_each_entry_once(monkeypatch):
+    p = random_simple_polygon(12, 3)
+    g, a = visibility_graph(p), geometric_blockers(p)
+    calls = []
+    code = CandidateTable.code
+    monkeypatch.setattr(CandidateTable, "code", lambda t, pair: calls.append(pair) or code(t, pair))
+    assert verify(g, a).ok
+    assert len(calls) == len(a)
 
 
 def test_nc4_fires_on_shared_separable_blocker():

@@ -119,6 +119,11 @@ def test_non_integer_rejected():
         validate_polygon([1, 2, 3])
     with pytest.raises(DegenerateInput, match=r"^vertex must be 2 integers, got \(0, 0, 1\)$"):
         validate_polygon([(0, 0, 1), (1, 0, 0), (0, 1, 0)])
+    # no vertex list at all: the vertex bound needs its length
+    with pytest.raises(DegenerateInput, match="^vertices must be a list or tuple, got None$"):
+        validate_polygon(None)
+    with pytest.raises(DegenerateInput, match="^vertices must be a list or tuple, got <list_iterator"):
+        validate_polygon(iter([(0, 0), (4, 0), (0, 3)]))
 
 
 def test_visibility_graph_fixtures(unit_square, dent5_poly, dent5_graph):

@@ -89,6 +89,8 @@ def test_index_out_of_range():
         (True, [[0, 1], [1, 0]]),
         (5, [1, 2]),  # items that are no pair
         (4, [[0, 1, 2], [1, 2], [2, 3], [3, 0]]),
+        (5, None),  # no pair list at all
+        (5, 7),
     ],
 )
 def test_non_integer_graph_is_malformed(n, pairs):
