@@ -16,6 +16,8 @@ from .blockers import candidate_table, first_seen
 from .errors import (
     DegenerateInput,
     GenerationBudgetExceeded,
+    IndexOutOfRange,
+    MalformedInput,
     NotInvisible,
     OracleContradiction,
 )
@@ -27,11 +29,12 @@ from .graph_core import (
     bits_from,
     derived_table,
     rows,
-    strictly_inside,
 )
 from .vertex_edge import VEGraph, seen_edge_gaps
 
 Point = tuple[int, int]
+Ray = tuple[int, int, int]  # (edge, num, den), den > 0: the ray meets the edge at t = num/den
+_NO_RAYS = (None, None)  # shared by the many lines that cross no edge past either end
 
 MAX_ATTEMPTS = 64  # point samples random_simple_polygon draws per grid width
 GRID_ROUNDS = 4  # grid widths random_simple_polygon tries before giving up
@@ -129,81 +132,91 @@ def _cone_contains(p: Polygon, v: int, dx: int, dy: int) -> bool:
     return cad > 0 or cdb > 0
 
 
-def _nearest_crossing(p: Polygon, k: int, dx: int, dy: int) -> tuple[int, int, int] | None:
-    """Nearest proper crossing of the ray k + t * (dx, dy), t > 0, with an
-    open edge not incident to vertex k, as (edge, num, den) with
-    t = num/den and num, den > 0; None if the ray crosses no such edge."""
-    n = p.n
+def _sight_line(p: Polygon, i: int, j: int) -> tuple[bool, tuple[Ray | None, Ray | None]]:
+    """One scan of the line pi + s * (pj - pi): with side[x] = cross(pj - pi,
+    px - pi), only an edge m whose ends lie strictly on opposite sides
+    crosses it, at s = orient(pi, pm, pm+1) / (side[m+1] - side[m]).  Returns
+    whether an edge crosses the open segment (0 < s < 1), then the nearest
+    crossings of the rays from j away from i and from i away from j, as a pair."""
     pts = p.vertices
-    ox, oy = pts[k]
-    best = None
-    for m in range(n):
-        if m == k or m == (k - 1) % n:
-            continue
-        ax, ay = pts[m]
-        bx, by = pts[(m + 1) % n]
-        ex, ey = bx - ax, by - ay
-        den = dx * ey - dy * ex
-        if den == 0:
-            continue  # parallel, cannot overlap in general position
-        rx, ry = ax - ox, ay - oy
-        num = rx * ey - ry * ex
-        unum = rx * dy - ry * dx
-        if den < 0:
-            num, unum, den = -num, -unum, -den
-        if num <= 0 or not 0 < unum < den:
-            continue  # crossing behind the origin, or misses the open edge
-        if best is None or num * best[2] < best[1] * den:
-            best = (m, num, den)
-    return best
+    pi = xi, yi = pts[i]
+    dx, dy = pts[j][0] - xi, pts[j][1] - yi
+    side = [dx * (y - yi) - dy * (x - xi) for x, y in pts]
+    crossed, rays = False, _NO_RAYS  # nearest crossing past j, past i
+    for m, a, b in zip(range(len(pts)), side, side[1:] + side[:1]):
+        if a * b < 0:
+            o = orient(pi, pts[m], pts[m + 1 - len(pts)])
+            num, den = (o, b - a) if b > a else (-o, a - b)
+            if 0 < num < den:
+                crossed = True
+                continue
+            hit = (m, -num, den) if num < 0 else (m, num - den, den)
+            best = rays[num < 0]
+            if best is None or hit[1] * best[2] < best[1] * den:
+                rays = (rays[0], hit) if num < 0 else (hit, rays[1])
+    return crossed, rays
+
+
+def _check_indices(p: Polygon, *indices) -> None:
+    """Refuse a vertex or edge index of p that is no int or outside [0, n)."""
+    for x in indices:
+        if type(x) is not int:
+            raise MalformedInput(f"index must be an integer, got {x!r:.60}")
+        if not 0 <= x < p.n:
+            raise IndexOutOfRange(f"index {x} outside [0,{p.n})")
 
 
 def sees_vertex(p: Polygon, i: int, j: int) -> bool:
     """True iff the open segment between vertices i and j stays inside:
-    i and j are adjacent, or j lies in the interior cone at i and the ray
-    from i through j crosses no edge before j (parameter 1).  The scan
-    never counts j's two edges, which the ray meets only at their common
-    endpoint j, and in general position no other edge passes through j."""
-    n = p.n
+    i and j are adjacent, or j lies in the interior cone at i and no edge
+    crosses the open segment."""
+    _check_indices(p, i, j)
     if i == j:
         raise ValueError("sees_vertex needs two distinct vertices")
-    if (j - i) % n == 1 or (i - j) % n == 1:
+    if (j - i) % p.n in (1, p.n - 1):
         return True
     (ax, ay), (bx, by) = p.vertices[i], p.vertices[j]
-    dx, dy = bx - ax, by - ay
-    if not _cone_contains(p, i, dx, dy):
-        return False
-    hit = _nearest_crossing(p, i, dx, dy)
-    return hit is None or hit[1] > hit[2]
+    return _cone_contains(p, i, bx - ax, by - ay) and not _sight_line(p, i, j)[0]
+
+
+@derived_table
+def _sight_lines(p: Polygon) -> dict[Pair, tuple[Ray | None, Ray | None]]:
+    """For each visible non-adjacent pair i < j, _sight_line's rays past j and
+    past i.  Only pairs inside the interior cones at both ends are scanned."""
+    n, pts = p.n, p.vertices
+    lines = {}
+    for i in range(n):
+        for j in range(i + 2, n - (i == 0)):
+            dx, dy = pts[j][0] - pts[i][0], pts[j][1] - pts[i][1]
+            if _cone_contains(p, i, dx, dy) and _cone_contains(p, j, -dx, -dy):
+                crossed, rays = _sight_line(p, i, j)
+                if not crossed:
+                    lines[i, j] = rays
+    return lines
 
 
 @derived_table
 def visibility_graph(p: Polygon) -> VisGraph:
-    """Ground-truth visibility graph of the polygon."""
-    n = p.n
-    edges = set()
-    for i in range(n):
-        for j in range(i + 1, n):
-            if sees_vertex(p, i, j):
-                edges.add((i, j))
-    return VisGraph(n, frozenset(edges))
+    """Ground-truth visibility graph: the cycle edges and _sight_lines' pairs."""
+    cycle = [(i, i + 1) for i in range(p.n - 1)] + [(0, p.n - 1)]
+    return VisGraph(p.n, frozenset({*_sight_lines(p), *cycle}))
 
 
 @derived_table
-def _exit_table(p: Polygon) -> dict[Pair, tuple[int, int, int] | None]:
-    """For every ordered pair (k, a) where a sees k, keyed (k, a): the
-    _nearest_crossing of the ray from vertex k directed away from vertex a,
-    or None when it leaves the interior cone at k immediately.  Its keys
-    are exactly the ordered visible pairs."""
-    r, pts = rows(visibility_graph(p)), p.vertices
-    table: dict[Pair, tuple[int, int, int] | None] = {}
+def _exit_table(p: Polygon) -> dict[Pair, Ray | None]:
+    """For every ordered pair (k, a) where a sees k, keyed (k, a): the nearest
+    crossing of the ray from k away from a, or None when it leaves the cone at
+    k at once.  Pairs _sight_lines lacks (cycle edges, planted pairs) scan anew."""
+    r, pts, lines = rows(visibility_graph(p)), p.vertices, _sight_lines(p)
+    table: dict[Pair, Ray | None] = {}
     for k in range(p.n):
         for a in bits_from(r[k], 0):
-            dx, dy = pts[k][0] - pts[a][0], pts[k][1] - pts[a][1]
-            if not _cone_contains(p, k, dx, dy):
+            if not _cone_contains(p, k, pts[k][0] - pts[a][0], pts[k][1] - pts[a][1]):
                 table[k, a] = None
                 continue
-            table[k, a] = _nearest_crossing(p, k, dx, dy)
+            pair = (a, k) if a < k else (k, a)
+            rays = lines.get(pair) or _sight_line(p, *pair)[1]
+            table[k, a] = rays[k < a]  # the ray past k
             if table[k, a] is None:  # an interior direction must cross the boundary
                 raise OracleContradiction(f"ray from p{k} away from p{a} never exits")
     return table
@@ -231,6 +244,7 @@ def sees_edge(p: Polygon, i: int, m: int) -> tuple[bool, list[int]]:
     continuation ray away from i first exits through it.  Two witnesses
     are required.
     """
+    _check_indices(p, i, m)
     r, exits = rows(visibility_graph(p)), _exit_table(p)
     witnesses = [w for w in range(p.n) if _is_witness(r, exits, i, w, m)]
     return len(witnesses) >= 2, witnesses
@@ -338,8 +352,9 @@ def check_blocker_uniqueness(p: Polygon) -> list[str]:
             continue
         by_ray = []
         walk = arc_mask(n, i, (j - 1) % n)  # the edges of the walk from i to j
+        inside = arc_mask(n, (i + 1) % n, (j - 1) % n)  # its vertices strictly between
         for v, m in rays[i]:
-            away = ~walk if strictly_inside(n, i, j, v) else walk
+            away = ~walk if inside >> v & 1 else walk
             if away >> m & 1:
                 by_ray.append(v)
         if by_ray != [algo]:
@@ -347,7 +362,7 @@ def check_blocker_uniqueness(p: Polygon) -> list[str]:
                 f"pair ({i},{j}): ray scan found {by_ray}, extraction found {algo}"
             )
             continue
-        if not strictly_inside(n, i, j, algo):
+        if not inside >> algo & 1:
             # Second convention for far-side blockers: the ray must exit
             # between the first vertex the viewer sees walking clockwise
             # from the target and the blocker itself.

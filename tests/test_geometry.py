@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 from pseudovis import (
     DegenerateInput,
     GenerationBudgetExceeded,
+    IndexOutOfRange,
+    MalformedInput,
     NotInvisible,
     OracleContradiction,
     Polygon,
@@ -41,6 +43,7 @@ from pseudovis.cli import (
 )
 from pseudovis.geometry import _exit_table
 from pseudovis.graph_core import MAX_VERTICES
+from conftest import DENT5_VERTICES
 from support import (
     naive_collinear_triple,
     naive_crossing_edges,
@@ -144,8 +147,14 @@ def test_ray_immediate_exit(unit_square):
     assert _exit_table(unit_square)[(2, 0)] is None
 
 
+# n 11..40 reach past sample_polygons (n 5..10): long sight lines, and
+# rays along an edge at reflex vertices
+RANDOM_POLYGONS = [(n, 500 + n) for n in range(5, 41)]
+
+
 def test_exit_table_matches_restatement(sample_polygons):
-    for p in sample_polygons:
+    random_polygons = [random_simple_polygon(n, seed) for n, seed in RANDOM_POLYGONS[6:]]
+    for p in sample_polygons + random_polygons:
         g = visibility_graph(p)
         table = _exit_table(p)
         assert sorted(table) == [
@@ -157,13 +166,38 @@ def test_exit_table_matches_restatement(sample_polygons):
 
 
 def test_sees_vertex_matches_restatement(sample_polygons):
-    random_polygons = [random_simple_polygon(n, 500 + n) for n in range(5, 41)]
+    random_polygons = [random_simple_polygon(n, seed) for n, seed in RANDOM_POLYGONS]
     for p in sample_polygons + random_polygons:
+        g = visibility_graph(p)
         for i in range(p.n):
             for j in range(p.n):
                 if i != j:
                     expected = naive_sees_vertex(p, i, j)
                     assert sees_vertex(p, i, j) == expected, (p.vertices, i, j)
+                    assert g.visible(i, j) == expected, (p.vertices, i, j)
+
+
+def test_exit_table_never_exits_is_a_contradiction():
+    # clockwise, so built without validate_polygon: the first key (k, a)
+    # whose ray points into the cone at k finds no edge to cross
+    p = Polygon(tuple(reversed(DENT5_VERTICES)))
+    with pytest.raises(OracleContradiction, match="^ray from p0 away from p1 never exits$"):
+        _exit_table(p)
+
+
+@pytest.mark.parametrize("call, args, error, message", [
+    (sees_vertex, (-1, 3), IndexOutOfRange, r"^index -1 outside \[0,8\)$"),
+    (sees_vertex, (True, 3), MalformedInput, "^index must be an integer, got True$"),
+    (sees_vertex, (0, 8), IndexOutOfRange, r"^index 8 outside \[0,8\)$"),
+    (sees_vertex, (2.0, 5), MalformedInput, "^index must be an integer, got 2.0$"),
+    (sees_edge, (0, 8), IndexOutOfRange, r"^index 8 outside \[0,8\)$"),
+    (sees_edge, (-1, 3), IndexOutOfRange, r"^index -1 outside \[0,8\)$"),
+], ids=["vertex-negative", "vertex-bool", "vertex-past-n", "vertex-float", "edge-past-n",
+        "edge-negative-vertex"])
+def test_point_queries_refuse_what_is_no_vertex_or_edge(call, args, error, message):
+    # at n 8, -1 read vertex 7, True read vertex 1, and edge 8 had a witness
+    with pytest.raises(error, match=message):
+        call(random_simple_polygon(8, 1), *args)
 
 
 def test_ve_graph_matches_sees_edge():
