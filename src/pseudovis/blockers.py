@@ -74,22 +74,21 @@ def first_seen(n: int, row: int, target: int, step: int) -> int:
 
 
 class CandidateTable:
-    """The candidates of the ordered pairs by entry code c = v * n + t, the
-    codes of conditions.EntryIndex: bit c of inv is set iff (v, t) is an
-    invisible pair, cw[c] and ccw[c] are its candidates as in CandidateSet,
-    bit c of mask[k] is set iff k is one of them, and bit c of cw_mask[k]
-    iff k is its cw one."""
+    """Candidates by entry code c = v * n + t, conditions.EntryIndex's codes:
+    bit c of inv is set iff (v, t) is an invisible pair, bit c of mask[k]
+    iff k is one of its candidates, and of cw_mask[k] iff k is its cw one."""
 
-    __slots__ = ("n", "inv", "cw", "ccw", "mask", "cw_mask")
+    __slots__ = ("n", "inv", "mask", "cw_mask")
 
-    def __init__(self, n: int, inv: int, cw: list, ccw: list, mask: list, cw_mask: list) -> None:
-        self.n, self.inv, self.cw, self.ccw = n, inv, cw, ccw
-        self.mask, self.cw_mask = mask, cw_mask
+    def __init__(self, n: int, inv: int, mask: list, cw_mask: list) -> None:
+        self.n, self.inv, self.mask, self.cw_mask = n, inv, mask, cw_mask
 
-    def code(self, pair: Pair) -> int | None:
-        """pair's code if it is an ordered invisible pair, else None.  Its
-        ends are type- and range-checked first, so no other pair aliases a
-        code: a float or bool end is no vertex."""
+    def code(self, pair: object) -> int | None:
+        """pair's code if it is an ordered invisible pair, else None, as for
+        anything but a 2-tuple.  Its ends are type- and range-checked, so no
+        other pair aliases a code: a float or bool end is no vertex."""
+        if type(pair) is not tuple or len(pair) != 2:
+            return None
         i, j = pair
         n = self.n
         if type(i) is type(j) is int and 0 <= i < n and 0 <= j < n and self.inv >> i * n + j & 1:
@@ -98,6 +97,18 @@ class CandidateTable:
 
     def admits(self, c: int, k: int) -> bool:
         return type(k) is int and 0 <= k < self.n and self.mask[k] >> c & 1 == 1
+
+    def candidates(self, row: int, c: int) -> CandidateSet:
+        """c's candidate set: the first vertex its viewer, whose rows(g) mask
+        is row, sees each way from the target, if mask admits it."""
+        ends = first_seen(self.n, row, c % self.n, -1), first_seen(self.n, row, c % self.n, 1)
+        return CandidateSet(*(k if self.mask[k] >> c & 1 else None for k in ends))
+
+
+def pair_text(pair: object) -> str:
+    """A pair as messages print it: (i,j) for a 2-tuple, else its repr, as
+    "ab" unpacks too but would print as (a,b)."""
+    return "({},{})".format(*pair) if type(pair) is tuple and len(pair) == 2 else repr(pair)
 
 
 @derived_table
@@ -117,7 +128,7 @@ def candidate_table(g: VisGraph) -> CandidateTable:
     candidate sets.
     """
     n, r = g.n, rows(g)
-    cw, ccw, cw_mask, ccw_mask = [None] * (n * n), [None] * (n * n), [0] * n, [0] * n
+    cw_mask, ccw_mask = [0] * n, [0] * n
     inv, full = 0, (1 << n) - 1
     for i in range(n):
         base, hid = i * n, full & ~r[i] & ~(1 << i)
@@ -129,9 +140,9 @@ def candidate_table(g: VisGraph) -> CandidateTable:
             rot ^= run
             lo, hi = low.bit_length() + i, run.bit_length() + i  # the run's ends, unreduced
             u, v = (lo - 1) % n, (hi + 1) % n
-            for k, side, masks, walk, near in (
-                (u, cw, cw_mask, range(lo, hi + 1), arc_mask(n, i, (u - 1) % n)),
-                (v, ccw, ccw_mask, range(hi, lo - 1, -1), arc_mask(n, (v + 1) % n, i)),
+            for k, masks, walk, near in (
+                (u, cw_mask, range(lo, hi + 1), arc_mask(n, i, (u - 1) % n)),
+                (v, ccw_mask, range(hi, lo - 1, -1), arc_mask(n, (v + 1) % n, i)),
             ):
                 far_sees = got = 0
                 for j in walk:
@@ -139,17 +150,14 @@ def candidate_table(g: VisGraph) -> CandidateTable:
                     far_sees |= r[j]
                     if far_sees & near:
                         break
-                    side[base + j] = k
                     got |= 1 << j
                 masks[k] |= got << base
     mask = [x | y for x, y in zip(cw_mask, ccw_mask)]
-    return CandidateTable(n, inv, cw, ccw, mask, cw_mask)
+    return CandidateTable(n, inv, mask, cw_mask)
 
 
-@derived_table
 def all_candidates(g: VisGraph) -> dict[Pair, CandidateSet]:
     """candidate_table decoded: the candidate set of every ordered
-    invisible pair, keyed in lexicographic order.  The dict is the
-    graph's shared table: callers must not mutate it."""
-    t = candidate_table(g)
-    return {divmod(c, g.n): CandidateSet(t.cw[c], t.ccw[c]) for c in bits_from(t.inv, 0)}
+    invisible pair, keyed in lexicographic order.  A fresh dict per call."""
+    t, r = candidate_table(g), rows(g)
+    return {divmod(c, g.n): t.candidates(r[c // g.n], c) for c in bits_from(t.inv, 0)}

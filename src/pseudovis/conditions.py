@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator, NamedTuple
 
-from .blockers import Assignment, candidate_table, entry_arcs
+from .blockers import Assignment, candidate_table, entry_arcs, pair_text
 from .errors import NotACandidate, PseudovisError, UnknownPair
 from .graph_core import Pair, VisGraph, arc_mask, bits_from, derived_table, rows
 
@@ -264,11 +264,10 @@ def nc4_partners(g: VisGraph) -> dict[int, tuple[int, int]]:
     return partners
 
 
-@derived_table
 def separable_pairs(g: VisGraph) -> list[SeparablePair]:
     """nc4_partners decoded: every separable pair of invisible pairs, a
     shared candidate blocker with one pair entirely on the arc beyond it,
-    by (blocker, pair_a, pair_b).  The graph's shared list: do not mutate."""
+    by (blocker, pair_a, pair_b).  A fresh list per call."""
     n = g.n
     return [
         SeparablePair(key // (n * n), divmod(key % (n * n), n), divmod(c2, n))
@@ -324,13 +323,12 @@ def load_assignment(g: VisGraph, a: Assignment) -> tuple[EntryIndex, int, list[P
     pairs it lists and the error of each bad entry, in insertion order."""
     t, idx, listed, valid, bad = candidate_table(g), EntryIndex(g), 0, {}, []
     for pair, k in a.items():
-        is_pair = type(pair) is tuple and len(pair) == 2  # "ab" would print as (a,b)
-        c = t.code(pair) if is_pair else None
+        c = t.code(pair)
         listed |= 0 if c is None else 1 << c
         if c is not None and t.admits(c, k):
             valid[c] = k
             continue
-        text = "({},{})".format(*pair) if is_pair else repr(pair)
+        text = pair_text(pair)
         bad.append(UnknownPair(f"{text} is not an invisible pair") if c is None
                    else NotACandidate(f"p{k} is not a candidate blocker for {text}"))
     for c in sorted(valid):

@@ -12,12 +12,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .blockers import candidate_table, first_seen
+from .blockers import candidate_table, first_seen, pair_text
 from .errors import (
     DegenerateInput,
     GenerationBudgetExceeded,
-    IndexOutOfRange,
-    MalformedInput,
     NotInvisible,
     OracleContradiction,
 )
@@ -27,6 +25,7 @@ from .graph_core import (
     VisGraph,
     arc_mask,
     bits_from,
+    check_indices,
     derived_table,
     rows,
 )
@@ -157,20 +156,11 @@ def _sight_line(p: Polygon, i: int, j: int) -> tuple[bool, tuple[Ray | None, Ray
     return crossed, rays
 
 
-def _check_indices(p: Polygon, *indices) -> None:
-    """Refuse a vertex or edge index of p that is no int or outside [0, n)."""
-    for x in indices:
-        if type(x) is not int:
-            raise MalformedInput(f"index must be an integer, got {x!r:.60}")
-        if not 0 <= x < p.n:
-            raise IndexOutOfRange(f"index {x} outside [0,{p.n})")
-
-
 def sees_vertex(p: Polygon, i: int, j: int) -> bool:
     """True iff the open segment between vertices i and j stays inside:
     i and j are adjacent, or j lies in the interior cone at i and no edge
     crosses the open segment."""
-    _check_indices(p, i, j)
+    check_indices(p.n, i, j)
     if i == j:
         raise ValueError("sees_vertex needs two distinct vertices")
     if (j - i) % p.n in (1, p.n - 1):
@@ -206,8 +196,9 @@ def visibility_graph(p: Polygon) -> VisGraph:
 def _exit_table(p: Polygon) -> dict[Pair, Ray | None]:
     """For every ordered pair (k, a) where a sees k, keyed (k, a): the nearest
     crossing of the ray from k away from a, or None when it leaves the cone at
-    k at once.  Pairs _sight_lines lacks (cycle edges, planted pairs) scan anew."""
-    r, pts, lines = rows(visibility_graph(p)), p.vertices, _sight_lines(p)
+    k at once.  Pairs _sight_lines lacks (cycle edges, planted pairs) scan anew,
+    once for both ends: lines is a copy, so the scans leave its table alone."""
+    r, pts, lines = rows(visibility_graph(p)), p.vertices, dict(_sight_lines(p))
     table: dict[Pair, Ray | None] = {}
     for k in range(p.n):
         for a in bits_from(r[k], 0):
@@ -215,7 +206,7 @@ def _exit_table(p: Polygon) -> dict[Pair, Ray | None]:
                 table[k, a] = None
                 continue
             pair = (a, k) if a < k else (k, a)
-            rays = lines.get(pair) or _sight_line(p, *pair)[1]
+            rays = lines.get(pair) or lines.setdefault(pair, _sight_line(p, *pair)[1])
             table[k, a] = rays[k < a]  # the ray past k
             if table[k, a] is None:  # an interior direction must cross the boundary
                 raise OracleContradiction(f"ray from p{k} away from p{a} never exits")
@@ -244,7 +235,7 @@ def sees_edge(p: Polygon, i: int, m: int) -> tuple[bool, list[int]]:
     continuation ray away from i first exits through it.  Two witnesses
     are required.
     """
-    _check_indices(p, i, m)
+    check_indices(p.n, i, m)
     r, exits = rows(visibility_graph(p)), _exit_table(p)
     witnesses = [w for w in range(p.n) if _is_witness(r, exits, i, w, m)]
     return len(witnesses) >= 2, witnesses
@@ -306,7 +297,7 @@ def designated_blocker_geo(p: Polygon, pair: Pair) -> int:
     NotInvisible for any other pair and its OracleContradiction if any."""
     c = candidate_table(visibility_graph(p)).code(pair)
     if c is None:
-        raise NotInvisible("({},{}) is not an invisible pair".format(*pair))
+        raise NotInvisible(f"{pair_text(pair)} is not an invisible pair")
     return _raised(_designated_blockers(p)[c])
 
 

@@ -16,7 +16,7 @@ from .errors import IndexOutOfRange, MalformedInput, MissingCycleEdge, SelfLoop
 
 Pair = tuple[int, int]
 
-MAX_VERTICES = 1024  # largest n accepted: candidate_table's n * n lists hold ~2 M slots
+MAX_VERTICES = 1024  # largest n accepted: candidate_table's masks are n ints of up to n * n bits
 
 
 def derived_table(build: Callable) -> Callable:
@@ -32,6 +32,15 @@ def derived_table(build: Callable) -> Callable:
         return result
 
     return table
+
+
+def check_indices(n: int, *indices) -> None:
+    """Refuse a vertex or edge index that is no int or outside [0, n)."""
+    for x in indices:
+        if type(x) is not int:
+            raise MalformedInput(f"index must be an integer, got {x!r:.60}")
+        if not 0 <= x < n:
+            raise IndexOutOfRange(f"index {x} outside [0,{n})")
 
 
 def strictly_inside(n: int, a: int, b: int, x: int) -> bool:

@@ -134,7 +134,7 @@ def find_assignment(
     nodes = 0
     idx = EntryIndex(g)
     # One frame per decided variable: (its code, the trail's length before
-    # it was assigned, its untried values, cw last so that it pops first).
+    # it was assigned, its untried values, cw first as it is tried first).
     stack: list[tuple[int, int, list[int]]] = []
     bad: Violation | None = None  # the empty root closure is consistent
     while True:
@@ -142,7 +142,7 @@ def find_assignment(
             free = single & ~idx.assigned or twice & ~idx.assigned
             if free:
                 c = (free & -free).bit_length() - 1
-                stack.append((c, len(idx.a), [b for b in (t.ccw[c], t.cw[c]) if b is not None]))
+                stack.append((c, len(idx.a), [*t.candidates(idx.rows[c // n], c).members()]))
             else:  # a total assignment: only NC5 is left to check
                 bad = next(_nc5_violations(idx), None)
                 if bad is None:
@@ -158,7 +158,7 @@ def find_assignment(
                     raise SearchBudgetExceeded(
                         f"no verdict within {node_budget} search nodes"
                     )
-                bad = _propagate(idx, c, values.pop())
+                bad = _propagate(idx, c, values.pop(0))
                 break
             stack.pop()
         else:

@@ -17,6 +17,7 @@ from .graph_core import (
     VisGraph,
     arc_mask,
     bits_from,
+    check_indices,
     strictly_inside,
 )
 
@@ -67,6 +68,7 @@ def is_articulation(g: VisGraph, start: int, end: int, v: int) -> bool:
     sets bit s * n for each s on the walk start .. v - 1: the walk's rows
     of the n-by-n code square, all ones, divided by one row of ones."""
     n = g.n
+    check_indices(n, start, end, v)
     if not strictly_inside(n, start, end, v):
         raise VertexOutsideInterval(f"p{v} is not strictly inside the walk {start}..{end}")
     viewers = arc_mask(n * n, start * n, (v - 1) % n * n + n - 1) // ((1 << n) - 1)
@@ -78,6 +80,7 @@ def seen_edge_gaps(ve: VEGraph, k: int) -> list[tuple[int, int]]:
     (seen edge before the run, seen edge after the run) in cyclic order:
     each seen edge a whose successor is unseen, and the next seen edge b
     after it, which is a itself only when a is the one seen edge."""
+    check_indices(ve.n, k)
     n, row = ve.n, ve.rows[k]
     starts = bits_from(row & ~(row >> 1 | row << n - 1), 0)
     return [(a, b) for a in starts if (b := first_seen(n, row, a, 1)) != a]
@@ -97,10 +100,14 @@ def check_ve_characterization(
     Both or neither holding is a failure.  The rule is necessary but does
     not decide recognition: 21 of the chordless 5-cycle's 1,024 candidate
     assignments pass it, and each breaks an NC condition.  A row in which
-    its vertex misses an incident edge raises MalformedInput.  candidates
-    is unused: every reader takes the graph's own candidate_table.
+    its vertex misses an incident edge, or a relation on another vertex
+    count, raises MalformedInput.  candidates is unused: every reader
+    takes the graph's own candidate_table.
     """
     n, ve_rows = g.n, ve.rows
+    if ve.n != n or len(ve_rows) != n:
+        raise MalformedInput(f"vertex-edge relation needs {n} vertices and rows,"
+                             f" got {ve.n} and {len(ve_rows)}")
     for k in range(n):
         if missing := (1 << k | 1 << (k - 1) % n) & ~ve_rows[k]:
             raise MalformedInput(f"vertex {k} misses incident edge {missing.bit_length() - 1}")

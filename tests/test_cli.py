@@ -17,7 +17,7 @@ from pseudovis import (
     validate_polygon,
     visibility_graph,
 )
-from pseudovis import all_candidates, cli, geometry, recognizer, separable_pairs, validate_graph
+from pseudovis import cli, geometry, recognizer, validate_graph
 from pseudovis.blockers import candidate_table
 from pseudovis.conditions import nc4_partners
 from pseudovis.cli import (
@@ -390,19 +390,21 @@ def test_check_polygon_keeps_no_reference():
 
 def test_search_and_battery_build_only_the_compiled_tables():
     """find_assignment, verify and the corpus battery read the candidate
-    table and the NC4 partners compiled over entry codes; the dict and
-    the list that decode them are built only for their own callers."""
+    table and the NC4 partners compiled over entry codes, and store no
+    other table on the graph; an empty candidate set rejects before the
+    partners are built."""
     for n in range(5, 13):
         p = random_simple_polygon(n, 40 + n)
         g = visibility_graph(p)
         assert all(check_polygon(p).values())
         others = [(i, j) for i in range(n) for j in range(i + 2, n) if (i, j) not in g.edges]
         mutant = validate_graph(n, sorted(g.edges | {others[0]})) if others else g
-        recognizer.find_assignment(mutant)
-        for graph in (g, mutant):
-            assert all_candidates not in graph.tables
-            assert separable_pairs not in graph.tables
-        assert candidate_table in g.tables and nc4_partners in g.tables
+        verdict = recognizer.find_assignment(mutant)
+        tables = {rows, candidate_table, nc4_partners}
+        assert set(g.tables) == tables
+        if isinstance(verdict.certificate, recognizer.EmptyCandidateSet):
+            tables.remove(nc4_partners)
+        assert set(mutant.tables) == tables
 
 
 def test_gen_deterministic(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -177,12 +178,30 @@ def test_sees_vertex_matches_restatement(sample_polygons):
                     assert g.visible(i, j) == expected, (p.vertices, i, j)
 
 
+def test_exit_table_scans_each_line_once(monkeypatch):
+    # random_simple_polygon(10, 3) is reflex at 3, 4 and 9: past the
+    # visibility pass, the exit table scans the lines of the edges at
+    # reflex vertices, and edge 3's line serves both of its reflex ends
+    p = random_simple_polygon(10, 3)
+    geometry._sight_lines(p)
+    scanned, scan = [], geometry._sight_line
+    monkeypatch.setattr(geometry, "_sight_line",
+                        lambda q, i, j: scanned.append((i, j)) or scan(q, i, j))
+    _exit_table(p)
+    assert scanned == [(2, 3), (3, 4), (4, 5), (0, 9), (8, 9)]
+
+
 def test_exit_table_never_exits_is_a_contradiction():
     # clockwise, so built without validate_polygon: the first key (k, a)
     # whose ray points into the cone at k finds no edge to cross
     p = Polygon(tuple(reversed(DENT5_VERTICES)))
     with pytest.raises(OracleContradiction, match="^ray from p0 away from p1 never exits$"):
         _exit_table(p)
+
+
+def _polygon_of(p, *picks):
+    """validate_polygon on p's vertices at the indices picks."""
+    return validate_polygon([p.vertices[k] for k in picks])
 
 
 @pytest.mark.parametrize("call, args, error, message", [
@@ -192,10 +211,15 @@ def test_exit_table_never_exits_is_a_contradiction():
     (sees_vertex, (2.0, 5), MalformedInput, "^index must be an integer, got 2.0$"),
     (sees_edge, (0, 8), IndexOutOfRange, r"^index 8 outside \[0,8\)$"),
     (sees_edge, (-1, 3), IndexOutOfRange, r"^index -1 outside \[0,8\)$"),
+    (sees_vertex, (3, 3), ValueError, "^sees_vertex needs two distinct vertices$"),
+    (_polygon_of, (0, 1), DegenerateInput, "^need at least 3 vertices, got 2$"),
+    (_polygon_of, (0, 1, 2, 1), DegenerateInput, "^duplicate vertices$"),
 ], ids=["vertex-negative", "vertex-bool", "vertex-past-n", "vertex-float", "edge-past-n",
-        "edge-negative-vertex"])
+        "edge-negative-vertex", "vertex-itself", "polygon-two-vertices",
+        "polygon-duplicate-vertex"])
 def test_point_queries_refuse_what_is_no_vertex_or_edge(call, args, error, message):
-    # at n 8, -1 read vertex 7, True read vertex 1, and edge 8 had a witness
+    # at n 8, -1 read vertex 7, True read vertex 1, and edge 8 had a witness;
+    # a vertex list of fewer than 3 or repeated vertices is no polygon
     with pytest.raises(error, match=message):
         call(random_simple_polygon(8, 1), *args)
 
@@ -266,6 +290,10 @@ def test_designated_blocker_geo_refuses_every_other_pair():
     others += [(i, j) for i in range(8) for j in range(8) if i != j and g.visible(i, j)]
     for pair in others:
         with pytest.raises(NotInvisible, match=r"^\({},{}\) is not an invisible pair$".format(*pair)):
+            designated_blocker_geo(p, pair)
+    # no pair at all: (1, 2, 3) raised a bare ValueError, 5 and None a TypeError
+    for pair in [(1, 2, 3), 5, None]:
+        with pytest.raises(NotInvisible, match=rf"^{re.escape(repr(pair))} is not an invisible pair$"):
             designated_blocker_geo(p, pair)
 
 

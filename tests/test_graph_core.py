@@ -10,13 +10,17 @@ from pseudovis import (
     MissingCycleEdge,
     SelfLoop,
     all_candidates,
+    find_assignment,
     geometric_blockers,
     invisible_pairs,
+    random_simple_polygon,
     separable_pairs,
     validate_graph,
     visibility_graph,
 )
+from pseudovis.blockers import candidate_table
 from pseudovis.cli import graph_from_json, graph_to_json
+from pseudovis.conditions import nc4_partners
 from pseudovis.geometry import _designated_blockers
 from pseudovis.graph_core import arc_mask, rows, strictly_inside
 from support import (
@@ -187,8 +191,15 @@ def test_inputs_pickle_with_derived_tables(dent5_poly):
     assert rows(visibility_graph(restored)) == rows(g)
 
 
-def test_derived_tables_are_shared():
-    # Readers get the graph's own tables, not a copy per call.
-    g = cycle_graph(6)
-    assert all_candidates(g) is all_candidates(g)
-    assert separable_pairs(g) is separable_pairs(g)
+def test_search_leaves_one_table_per_relation():
+    # After a search a graph holds the rows, the candidate table and the
+    # NC4 partners, and the decoders build a fresh view per call and
+    # store nothing on the graph.
+    for g in (cycle_graph(6), visibility_graph(random_simple_polygon(10, 3))):
+        find_assignment(g)
+        tables = {rows, candidate_table, nc4_partners}
+        assert set(g.tables) == tables
+        for decode in (all_candidates, separable_pairs):
+            view = decode(g)
+            assert view == decode(g) and view is not decode(g)
+        assert set(g.tables) == tables

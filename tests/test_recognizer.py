@@ -10,6 +10,7 @@ from pseudovis import (
     EmptyCandidateSet,
     ExhaustedSearch,
     SearchBudgetExceeded,
+    all_candidates,
     check_conditions,
     conditions,
     find_assignment,
@@ -23,7 +24,6 @@ from pseudovis import (
 from pseudovis.blockers import candidate_table
 from pseudovis.cli import verdict_to_json
 from pseudovis.conditions import EntryIndex, Violation
-from pseudovis.graph_core import bits_from
 import support
 from support import (
     brute_force_accepts,
@@ -387,11 +387,10 @@ def test_nc5_hit_at_a_total_assignment_backtracks(monkeypatch):
     kinds = {True: 0, False: 0}
     for g in polygon_graphs((70000, 70003, 70005, 70006, 70008, 70009, 70010, 70011)):
         unpatched = find_assignment(g)
-        t, n = candidate_table(g), g.n
-        total, fired = t.inv.bit_count(), 0
+        total, fired = candidate_table(g).inv.bit_count(), 0
         pair, cw = next(
-            (divmod(c, n), t.cw[c]) for c in bits_from(t.inv, 0)
-            if t.ccw[c] is not None and unpatched.assignment[divmod(c, n)] == t.cw[c]
+            (pair, cs.cw) for pair, cs in all_candidates(g).items()
+            if cs.ccw is not None and unpatched.assignment[pair] == cs.cw
         )
         fake = Violation("NC5", (pair,), (cw,), f"NC5: p{cw} on {pair} rejected at a leaf")
 

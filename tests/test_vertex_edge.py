@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pseudovis import (
+    IndexOutOfRange,
     InvalidAssignment,
     MalformedInput,
     VEGraph,
@@ -164,6 +165,26 @@ def test_is_articulation_examples(dent5_graph, k5):
     with pytest.raises(VertexOutsideInterval):
         articulation_by_incidence(build_ve(dent5_graph, {}, check=False), 1, 4, 4)
     assert not is_articulation(k5, 0, 3, 1)
+
+
+@pytest.mark.parametrize("call, args, error, message", [
+    (is_articulation, ("g", 0, 3, 9), IndexOutOfRange, r"^index 9 outside \[0,8\)$"),
+    (is_articulation, ("g", 0, 3, True), MalformedInput, "^index must be an integer, got True$"),
+    (seen_edge_gaps, ("ve", 8), IndexOutOfRange, r"^index 8 outside \[0,8\)$"),
+    (seen_edge_gaps, ("ve", -1), IndexOutOfRange, r"^index -1 outside \[0,8\)$"),
+    (check_ve_characterization, ("ve9", "g"), MalformedInput,
+     "^vertex-edge relation needs 8 vertices and rows, got 9 and 9$"),
+], ids=["articulation-past-n", "articulation-bool", "gaps-past-n", "gaps-negative",
+        "characterization-nine-rows"])
+def test_vertex_edge_queries_refuse_what_is_no_vertex(call, args, error, message):
+    # at n 8, 9 passed strictly_inside modulo n, True read vertex 1, 8
+    # indexed past the rows, -1 read vertex 7 and the relation of a 9-gon
+    # gave eight bogus failures
+    p = random_simple_polygon(8, 1)
+    named = {"g": visibility_graph(p), "ve": ve_graph_geo(p),
+             "ve9": ve_graph_geo(random_simple_polygon(9, 1))}
+    with pytest.raises(error, match=message):
+        call(*(named.get(x, x) for x in args))
 
 
 def test_gap_enumeration(dent5_graph, dent5_poly):
