@@ -9,6 +9,7 @@ candidate separates.  There is at most one candidate per side.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .graph_core import (
     Pair,
@@ -76,12 +77,13 @@ def first_seen(n: int, row: int, target: int, step: int) -> int:
 class CandidateTable:
     """Candidates by entry code c = v * n + t, conditions.EntryIndex's codes:
     bit c of inv is set iff (v, t) is an invisible pair, bit c of mask[k]
-    iff k is one of its candidates, and of cw_mask[k] iff k is its cw one."""
+    iff k is one of its candidates, of cw_mask[k] iff k is its cw one, and
+    of empty iff it has none."""
 
-    __slots__ = ("n", "inv", "mask", "cw_mask")
+    __slots__ = ("n", "inv", "mask", "cw_mask", "empty")
 
-    def __init__(self, n: int, inv: int, mask: list, cw_mask: list) -> None:
-        self.n, self.inv, self.mask, self.cw_mask = n, inv, mask, cw_mask
+    def __init__(self, n: int, inv: int, mask: list, cw_mask: list, empty: int) -> None:
+        self.n, self.inv, self.mask, self.cw_mask, self.empty = n, inv, mask, cw_mask, empty
 
     def code(self, pair: object) -> int | None:
         """pair's code if it is an ordered invisible pair, else None, as for
@@ -111,9 +113,10 @@ def pair_text(pair: object) -> str:
     return "({},{})".format(*pair) if type(pair) is tuple and len(pair) == 2 else repr(pair)
 
 
-@derived_table
-def candidate_table(g: VisGraph) -> CandidateTable:
-    """The graph's candidate table, compiled over entry codes.
+def candidate_sweep(g: VisGraph) -> Iterator[CandidateTable]:
+    """candidate_table's sweep: the table so far after each viewer with a
+    pair that has no candidate, and the complete table after the last, so
+    a reader that wants no table with an empty pair may stop at the first.
 
     One sweep per viewer i over its hidden runs, peeled off its hidden
     mask turned so that bit p is vertex i + 1 + p (i is never hidden, so
@@ -121,19 +124,17 @@ def candidate_table(g: VisGraph) -> CandidateTable:
     u and ccw candidate v unless a visible pair joins the entry's near
     arc, i .. u - 1 or v + 1 .. i (exactly entry_arcs' near arcs), to its
     far arc, which grows by one target at a time: one pass from each end
-    ORs up the far arc's neighbours and decides the whole run.
-
-    A pair whose candidate set is empty makes recognition fail
-    immediately downstream, since assignments may only draw from
-    candidate sets.
+    ORs up the far arc's neighbours and decides the whole run; the
+    targets no pass reaches have no candidate.
     """
     n, r = g.n, rows(g)
     cw_mask, ccw_mask = [0] * n, [0] * n
-    inv, full = 0, (1 << n) - 1
+    inv, empty, full = 0, 0, (1 << n) - 1
     for i in range(n):
         base, hid = i * n, full & ~r[i] & ~(1 << i)
         inv |= hid << base
         rot = (hid >> i + 1 | hid << n - i - 1) & full
+        covered = 0  # the targets with a candidate
         while rot:
             low = rot & -rot
             run = rot & ~(rot + low)
@@ -152,8 +153,19 @@ def candidate_table(g: VisGraph) -> CandidateTable:
                         break
                     got |= 1 << j
                 masks[k] |= got << base
-    mask = [x | y for x, y in zip(cw_mask, ccw_mask)]
-    return CandidateTable(n, inv, mask, cw_mask)
+                covered |= got
+        if hid & ~covered or i == n - 1:
+            empty |= (hid & ~covered) << base
+            mask = [x | y for x, y in zip(cw_mask, ccw_mask)]
+            yield CandidateTable(n, inv, mask, cw_mask, empty)
+
+
+@derived_table
+def candidate_table(g: VisGraph) -> CandidateTable:
+    """The graph's candidate table, compiled over entry codes: the sweep
+    run to its end, so a cached table is always complete."""
+    *_, t = candidate_sweep(g)
+    return t
 
 
 def all_candidates(g: VisGraph) -> dict[Pair, CandidateSet]:

@@ -16,6 +16,8 @@ from .blockers import candidate_table, first_seen, pair_text
 from .errors import (
     DegenerateInput,
     GenerationBudgetExceeded,
+    IndexOutOfRange,
+    MalformedInput,
     NotInvisible,
     OracleContradiction,
 )
@@ -162,7 +164,7 @@ def sees_vertex(p: Polygon, i: int, j: int) -> bool:
     crosses the open segment."""
     check_indices(p.n, i, j)
     if i == j:
-        raise ValueError("sees_vertex needs two distinct vertices")
+        raise MalformedInput("sees_vertex needs two distinct vertices")
     if (j - i) % p.n in (1, p.n - 1):
         return True
     (ax, ay), (bx, by) = p.vertices[i], p.vertices[j]
@@ -456,7 +458,7 @@ def random_simple_polygon(n: int, seed: int) -> Polygon:
     GRID_ROUNDS grids; GenerationBudgetExceeded when the last is spent.
     """
     if not 3 <= n <= MAX_VERTICES:
-        raise ValueError(f"need 3 <= n <= {MAX_VERTICES}, got {n}")
+        raise IndexOutOfRange(f"need 3 <= n <= {MAX_VERTICES}, got {n}")
     rng = random.Random(f"{n}:{seed}")
     width = 4 * n + 1
     for _ in range(GRID_ROUNDS):

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .blockers import Assignment, candidate_table
+from .blockers import Assignment, candidate_sweep, candidate_table
 from .conditions import (
     EntryIndex,
     Violation,
@@ -122,12 +122,15 @@ def find_assignment(
     logged as (assignment depth, violation) in the rejection certificate.
     Raises SearchBudgetExceeded past node_budget branch extensions.
     """
-    t, n = candidate_table(g), g.n
+    # the sweep stops at the first viewer with a pair that has no candidate,
+    # and only a table without one, so complete, is cached
+    t, n = g.tables.get(candidate_table) or next(candidate_sweep(g)), g.n
+    for c in bits_from(t.empty, 0):  # the first pair without a candidate
+        return Verdict(False, certificate=EmptyCandidateSet(divmod(c, n)))
+    g.tables[candidate_table] = t
     once = twice = 0  # the codes with a candidate, and with two
     for m in t.mask:
         once, twice = once | m, twice | once & m
-    for c in bits_from(t.inv & ~once, 0):  # the first pair without one
-        return Verdict(False, certificate=EmptyCandidateSet(divmod(c, n)))
 
     single = t.inv & ~twice  # the one-candidate codes
     conflicts: list[tuple[int, Violation]] = []

@@ -64,15 +64,26 @@ def build_ve(g: VisGraph, a: Assignment, check: bool = True) -> VEGraph:
 def is_articulation(g: VisGraph, start: int, end: int, v: int) -> bool:
     """True iff v is a candidate blocker for some invisible pair that
     straddles it within the walk from start to end (viewer before v,
-    target after): one AND of those pairs' codes with mask[v].  viewers
-    sets bit s * n for each s on the walk start .. v - 1: the walk's rows
-    of the n-by-n code square, all ones, divided by one row of ones."""
-    n = g.n
-    check_indices(n, start, end, v)
-    if not strictly_inside(n, start, end, v):
+    target after)."""
+    check_indices(g.n, start, end, v)
+    if not strictly_inside(g.n, start, end, v):
         raise VertexOutsideInterval(f"p{v} is not strictly inside the walk {start}..{end}")
+    return _is_articulation(g.n, candidate_table(g).mask[v], start, end, v)
+
+
+def _is_articulation(n: int, mask: int, start: int, end: int, v: int) -> bool:
+    """is_articulation unchecked, with mask v's candidate_table mask: one
+    AND of the straddling pairs' codes with mask.  viewers sets bit s * n
+    for each s on the walk start .. v - 1: the walk's rows of the n-by-n
+    code square, all ones, divided by one row of ones."""
     viewers = arc_mask(n * n, start * n, (v - 1) % n * n + n - 1) // ((1 << n) - 1)
-    return candidate_table(g).mask[v] & viewers * arc_mask(n, (v + 1) % n, end) != 0
+    return mask & viewers * arc_mask(n, (v + 1) % n, end) != 0
+
+
+def _check_row(n: int, k: int, row: int) -> None:
+    """Refuse a vertex-edge row that sets a bit at or above n, no edge."""
+    if row >> n:
+        raise MalformedInput(f"vertex {k} sees an edge outside [0,{n})")
 
 
 def seen_edge_gaps(ve: VEGraph, k: int) -> list[tuple[int, int]]:
@@ -81,7 +92,12 @@ def seen_edge_gaps(ve: VEGraph, k: int) -> list[tuple[int, int]]:
     each seen edge a whose successor is unseen, and the next seen edge b
     after it, which is a itself only when a is the one seen edge."""
     check_indices(ve.n, k)
-    n, row = ve.n, ve.rows[k]
+    _check_row(ve.n, k, ve.rows[k])
+    return _seen_edge_gaps(ve.n, ve.rows[k])
+
+
+def _seen_edge_gaps(n: int, row: int) -> list[tuple[int, int]]:
+    """seen_edge_gaps' body, on the row itself and with nothing checked."""
     starts = bits_from(row & ~(row >> 1 | row << n - 1), 0)
     return [(a, b) for a in starts if (b := first_seen(n, row, a, 1)) != a]
 
@@ -101,24 +117,27 @@ def check_ve_characterization(
     not decide recognition: 21 of the chordless 5-cycle's 1,024 candidate
     assignments pass it, and each breaks an NC condition.  A row in which
     its vertex misses an incident edge, or a relation on another vertex
-    count, raises MalformedInput.  candidates is unused: every reader
-    takes the graph's own candidate_table.
+    count, or an edge at or above n, raises MalformedInput.  The relation
+    is checked once, here, and no gap or articulation query checks it
+    again.  candidates is unused: every reader takes the graph's own
+    candidate_table.
     """
     n, ve_rows = g.n, ve.rows
     if ve.n != n or len(ve_rows) != n:
         raise MalformedInput(f"vertex-edge relation needs {n} vertices and rows,"
                              f" got {ve.n} and {len(ve_rows)}")
-    for k in range(n):
-        if missing := (1 << k | 1 << (k - 1) % n) & ~ve_rows[k]:
+    for k, row in enumerate(ve_rows):
+        _check_row(n, k, row)
+        if missing := (1 << k | 1 << (k - 1) % n) & ~row:
             raise MalformedInput(f"vertex {k} misses incident edge {missing.bit_length() - 1}")
-    failures = []
+    mask, failures = candidate_table(g).mask, []
     for k in range(n):
-        for i, j in seen_edge_gaps(ve, k):
+        for i, j in _seen_edge_gaps(n, ve_rows[k]):
             if (i - j) % n == 1:
                 continue  # bounding edges share a vertex
-            v = (i + 1) % n
-            near = ve_rows[v] >> j & 1 and is_articulation(g, k, j, v)
-            far = ve_rows[j] >> i & 1 and is_articulation(g, v, k, j)
+            v = (i + 1) % n  # k, v, j in walk order, as row k sees k's incident edges
+            near = ve_rows[v] >> j & 1 and _is_articulation(n, mask[v], k, j, v)
+            far = ve_rows[j] >> i & 1 and _is_articulation(n, mask[j], v, k, j)
             if near == far:
                 failures.append(CharacterizationFailure(k, i, j))
     return failures

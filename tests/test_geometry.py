@@ -211,7 +211,7 @@ def _polygon_of(p, *picks):
     (sees_vertex, (2.0, 5), MalformedInput, "^index must be an integer, got 2.0$"),
     (sees_edge, (0, 8), IndexOutOfRange, r"^index 8 outside \[0,8\)$"),
     (sees_edge, (-1, 3), IndexOutOfRange, r"^index -1 outside \[0,8\)$"),
-    (sees_vertex, (3, 3), ValueError, "^sees_vertex needs two distinct vertices$"),
+    (sees_vertex, (3, 3), MalformedInput, "^sees_vertex needs two distinct vertices$"),
     (_polygon_of, (0, 1), DegenerateInput, "^need at least 3 vertices, got 2$"),
     (_polygon_of, (0, 1, 2, 1), DegenerateInput, "^duplicate vertices$"),
 ], ids=["vertex-negative", "vertex-bool", "vertex-past-n", "vertex-float", "edge-past-n",
@@ -359,7 +359,7 @@ def test_generator_bounds_n_before_sampling():
     # 2,000 points would take minutes to sample and uncross; the bound is
     # the one validate_polygon and validate_graph enforce.
     for n in (2, MAX_VERTICES + 1, 2000):
-        with pytest.raises(ValueError, match=f"need 3 <= n <= {MAX_VERTICES}, got {n}$"):
+        with pytest.raises(IndexOutOfRange, match=f"need 3 <= n <= {MAX_VERTICES}, got {n}$"):
             random_simple_polygon(n, 1)
 
 

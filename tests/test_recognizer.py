@@ -73,6 +73,56 @@ def test_empty_candidate_set_certificate():
     v = find_assignment(g)
     assert not v.accepted
     assert v.certificate == EmptyCandidateSet((0, 3))
+    assert candidate_table not in g.tables  # the sweep stopped at viewer 0
+
+
+def early_rejection_graphs() -> list:
+    """Every graph on the cycle at n 3..6, and 300 polygon graphs at n
+    8..14 with one non-edge added, the benchmark's mutants shape."""
+    graphs = [cycle_graph(n, chords) for n in range(3, 7)
+              for k in range(len(cycle_chords(n)) + 1)
+              for chords in itertools.combinations(cycle_chords(n), k)]
+    rng = random.Random(29)
+    for s in range(300):
+        n = 8 + s % 7
+        g = visibility_graph(random_simple_polygon(n, 29000 + s))
+        non = [(i, j) for i in range(n) for j in range(i + 1, n) if not g.visible(i, j)]
+        graphs.append(validate_graph(n, sorted(g.edges | {rng.choice(non)})) if non else g)
+    return graphs
+
+
+def table_fields(t) -> tuple:
+    return t.n, t.inv, t.mask, t.cw_mask, t.empty
+
+
+def test_early_empty_rejection_matches_the_full_table():
+    """find_assignment stops the candidate sweep at the first viewer with a
+    pair that has no candidate.  Its certificate is still the full table's
+    lowest such code, it caches no partial table, and candidate_table(g)
+    afterwards is the table a fresh graph builds, field by field."""
+    rejected = early = 0
+    for g in early_rejection_graphs():
+        full = candidate_table(validate_graph(g.n, g.edges))  # a fresh graph
+        once = 0
+        for m in full.mask:
+            once |= m
+        empty = full.inv & ~once
+        assert full.empty == empty, g
+        try:
+            v = find_assignment(g, node_budget=0)  # decides an empty set, or raises
+        except SearchBudgetExceeded:
+            v = None
+        if not empty:
+            assert v is None or v.accepted, g
+            continue
+        first = (empty & -empty).bit_length() - 1
+        assert v.certificate == EmptyCandidateSet(divmod(first, g.n)), g
+        assert candidate_table not in g.tables, g
+        assert table_fields(candidate_table(g)) == table_fields(full), g
+        rejected += 1
+        early += first // g.n < g.n - 1  # the sweep stopped before the last viewer
+    # 43 cycle and 115 polygon graphs reject, each before the last viewer
+    assert rejected > 140 and early > 140, (rejected, early)
 
 
 def test_conflict_log_recheckable():

@@ -311,3 +311,21 @@ def test_row_missing_an_incident_edge_is_malformed_input():
                 rows[k] &= ~(1 << m)
                 with pytest.raises(MalformedInput, match=f"^vertex {k} misses incident edge {m}$"):
                     check_ve_characterization(VEGraph(8, tuple(rows)), g)
+
+
+def test_row_with_an_edge_at_or_above_n_is_malformed_input():
+    # Bit 9 of an 8-vertex row is no edge: seen_edge_gaps reported gaps
+    # such as (9, 0), and the characterization returned [] for rows 0, 1
+    # and 7 and raised IndexError for the others.  A negative row has
+    # every bit from some point up.  Every row of 3 polygons.
+    for seed in range(1, 4):
+        p = random_simple_polygon(8, seed)
+        g, ve = visibility_graph(p), ve_graph_geo(p)
+        for k in range(8):
+            for row in (ve.rows[k] | 1 << 8, ve.rows[k] | 1 << 9, -1):
+                bad = VEGraph(8, ve.rows[:k] + (row,) + ve.rows[k + 1:])
+                message = rf"^vertex {k} sees an edge outside \[0,8\)$"
+                with pytest.raises(MalformedInput, match=message):
+                    seen_edge_gaps(bad, k)
+                with pytest.raises(MalformedInput, match=message):
+                    check_ve_characterization(bad, g)
